@@ -63,3 +63,7 @@ class NotACycle(GridError):
 
 class SlMismatch(GridError):
     """The two pipeline inputs have different self-linking numbers."""
+
+
+class ConfigError(GridError):
+    """An environment variable holds a value the library cannot use."""

@@ -7,7 +7,7 @@ permanent of the grading matrix equals its determinant.
 
 from __future__ import annotations
 
-from .errors import DivisionInexact
+from .errors import DimensionMismatch, DivisionInexact
 
 
 def mul(a, b):
@@ -60,7 +60,8 @@ def determinant(rows):
     """
     n = len(rows)
     m = [list(r) for r in rows]
-    assert all(len(r) == n for r in m)
+    if any(len(r) != n for r in m):
+        raise DimensionMismatch(f"determinant of a non-square {n}-row matrix")
     prev = 1
     for k in range(n):
         if m[k][k] == 0:

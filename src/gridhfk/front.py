@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MultiComponent
+from .errors import DivisionInexact, MultiComponent
 from .grid import component_count
 
 # Direction of travel in grid coordinates.
@@ -108,7 +108,8 @@ def classical_invariants(G):
     front = front_projection(G)
     up, down = front.cusp_counts()
     # Closed fronts alternate left/right cusps, so the count is even.
-    assert (up + down) % 2 == 0
+    if (up + down) % 2:
+        raise DivisionInexact(f"front has an odd number of cusps ({up + down})")
     tb = front.writhe - (up + down) // 2
     r = (down - up) // 2
     return ClassicalInvariants(tb=tb, r=r)

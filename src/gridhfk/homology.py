@@ -2,9 +2,12 @@
 
 The tilde complex over all n! generators is processed one Alexander grading
 at a time: the differential preserves A, so each fiber is an independent
-chain complex graded by Maslov degree.  Hat-flavor data is recovered by
-exact division of the tilde Poincare polynomial by (1 + q^-1 t^-1)^(n-1);
-inexact division is a hard failure, never papered over.
+chain complex graded by Maslov degree.  ``slice_boundary`` builds each
+boundary block between adjacent Maslov slices in one vectorized pass; the
+homology ranks and the vanishing verdicts share it.  Hat-flavor data is
+recovered by exact division of the tilde Poincare polynomial by
+(1 + q^-1 t^-1)^(n-1); inexact division is a hard failure, never papered
+over.
 
 The Alexander polynomial comes from a different route entirely: mod 2 the
 generating function sum_x T^A(x) is the determinant of the matrix of
@@ -17,25 +20,28 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import factorial
 
 import numpy as np
 
 from . import f2poly
-from .errors import BudgetExceeded, DivisionInexact, AsymmetricResult, NotACycle
-from .floer import bigrading, differential, grading_tables
+from .errors import AsymmetricResult, BudgetExceeded, ConfigError, DivisionInexact
+from .errors import MultiComponent, NotACycle
+from .floer import bigrading, differential, grade_array, grading_tables
 from .grid import component_count
 from .linalg import SparseF2Matrix, f2_solve, rank_from_entries
-from .errors import MultiComponent
 
 DEFAULT_MAX_SLICE = 5_000_000
 _CHUNK = 1 << 16
 
 
 def max_slice_budget():
-    return int(os.environ.get("GRIDHFK_MAX_SLICE", DEFAULT_MAX_SLICE))
+    """Generator budget per slice, from ``GRIDHFK_MAX_SLICE`` if it is set."""
+    raw = os.environ.get("GRIDHFK_MAX_SLICE", str(DEFAULT_MAX_SLICE))
+    if not raw.isdecimal() or int(raw) == 0:
+        raise ConfigError(f"GRIDHFK_MAX_SLICE must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def estimated_max_slice(n):
@@ -52,162 +58,134 @@ def check_budget(G, force=False, max_slice=None):
         )
 
 
-# -- generator enumeration ---------------------------------------------------
+# -- generators ----------------------------------------------------------------
 
 
-def _encode(perm):
-    code = 0
-    for i, p in enumerate(perm):
-        code |= p << (4 * i)
-    return code
+def _encode(P):
+    """Byte codes of the rows of an (N x n) state array: each row's n int8
+    entries as one void scalar, so codes compare and sort lexicographically."""
+    P = np.ascontiguousarray(P, dtype=np.int8)
+    return P.view(f"V{P.shape[1]}").ravel()
 
 
-def _decode(code, n):
-    return tuple((code >> (4 * i)) & 15 for i in range(n))
+def _decode(codes, n):
+    return codes.view(np.int8).reshape(-1, n)
 
 
 def enumerate_fibers(G):
     """All n! generators bucketed by Alexander grading.
 
-    Returns {A: (codes, M)} with codes an int64 array of nibble-packed
-    permutations and M the matching Maslov gradings; entries sorted by
-    (M, code) for determinism.
+    Returns {A: (codes, M)} with codes the byte codes of the permutations
+    and M the matching Maslov gradings; entries sorted by (M, code) for
+    determinism.
     """
-    n = G.n
-    if n > 16:
-        raise BudgetExceeded("nibble packing supports n <= 16")
-    t = grading_tables(G)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    shifts = (4 * np.arange(n)).astype(np.int64)
     buckets = {}
-    perms = itertools.permutations(range(n))
-    while True:
-        chunk = list(itertools.islice(perms, _CHUNK))
-        if not chunk:
-            break
-        P = np.array(chunk, dtype=np.int64)
-        noninv = np.zeros(len(chunk), dtype=np.int64)
-        for i, j in pairs:
-            noninv += P[:, i] < P[:, j]
-        sumO = t.FO_np[np.arange(n), P].sum(axis=1)
-        sumX = t.FX_np[np.arange(n), P].sum(axis=1)
-        mo2 = 2 * noninv - 2 * sumO + 2 * t.JOO + 2
-        a2 = (sumX - sumO) + t.JOO - t.JXX - (n - 1)
-        codes = (P << shifts).sum(axis=1)
-        for val in np.unique(a2):
-            sel = a2 == val
-            buckets.setdefault(int(val), []).append(
-                (codes[sel], mo2[sel] // 2)
-            )
+    perms = itertools.permutations(range(G.n))
+    while chunk := list(itertools.islice(perms, _CHUNK)):
+        P = np.array(chunk, dtype=np.int8)
+        M, A = grade_array(G, P)
+        codes = _encode(P)
+        for a in np.unique(A):
+            sel = A == a
+            buckets.setdefault(int(a), []).append((codes[sel], M[sel]))
     fibers = {}
-    for a2, parts in buckets.items():
-        assert a2 % 2 == 0, "half-integer Alexander grading on a knot grid"
+    for a, parts in buckets.items():
         codes = np.concatenate([c for c, _ in parts])
         M = np.concatenate([m for _, m in parts])
-        order = np.lexsort((codes, M))
-        fibers[a2 // 2] = (codes[order], M[order])
+        order = np.argsort(M, kind="stable")  # permutations come in code order
+        fibers[a] = (codes[order], M[order])
     return fibers
 
 
 def generators_with_alexander(G, A):
-    """Generators in one Alexander fiber, by branch-and-bound over columns.
+    """Generators in one Alexander fiber, as an (N x n) int8 array.
 
-    Avoids touching the other fibers, so single-class questions stay cheap
-    on grids whose full generator set is out of reach.
+    Branch-and-bound over columns on a whole frontier of partial states at
+    once.  A partial state survives only if its unused rows can still fill
+    the remaining columns with the missing weight (an exact test, from the
+    grid's reach table), so every frontier is at most the size of the fiber.
+    The reach table, and then each column's frontier, is checked against
+    the slice budget before it is allocated: a fiber over budget fails fast
+    instead of being listed.  Rows come out in lexicographic order.
     """
     n = G.n
     t = grading_tables(G)
-    g2 = [[t.FX[i][j] - t.FO[i][j] for j in range(n)] for i in range(n)]
-    target = 2 * A - (t.JOO - t.JXX - (n - 1))
-    min_rest = [0] * (n + 1)
-    max_rest = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        min_rest[i] = min_rest[i + 1] + min(g2[i])
-        max_rest[i] = max_rest[i + 1] + max(g2[i])
-    out = []
-    state = [0] * n
-    used = [False] * n
-
-    def rec(i, acc):
-        if i == n:
-            if acc == target:
-                out.append(tuple(state))
-            return
-        if acc + min_rest[i] > target or acc + max_rest[i] < target:
-            return
-        row = g2[i]
-        for j in range(n):
-            if not used[j]:
-                used[j] = True
-                state[i] = j
-                rec(i + 1, acc + row[j])
-                used[j] = False
-
-    rec(0, 0)
-    return out
-
-
-# -- tilde differential fast path --------------------------------------------
-
-
-def _tilde_targets(n, o_rows, x_rows, state):
-    """Targets of the fully blocked differential, with multiplicity."""
-    out = []
+    cap = max_slice_budget()
+    table = (1 << n) * t.weight_span
+    if table > cap * n:
+        raise BudgetExceeded(
+            f"fiber search table of {table} bytes for n={n} exceeds budget {cap} x {n} bytes"
+        )
+    need = 2 * A - (t.JOO - t.JXX - (n - 1)) - t.weight_base  # weight still missing
+    if not 0 <= need < t.weight_span:
+        return np.zeros((0, n), dtype=np.int8)
+    reach = t.fiber_reach
+    bits = 1 << np.arange(n, dtype=np.int32)
+    full = (1 << n) - 1
+    states = np.zeros((1, 0), dtype=np.int8)
+    need = np.array([need], dtype=np.int16)
+    used = np.zeros(1, dtype=np.int32)  # bitmask of rows taken
     for i in range(n):
-        a = state[i]
-        for j in range(n):
-            if i == j:
-                continue
-            b = state[j]
-            width = (j - i) % n
-            height = (b - a) % n
-            ok = True
-            for s in range(width):
-                k = (i + s) % n
-                if s and 0 < (state[k] - a) % n < height:
-                    ok = False
-                    break
-                if (o_rows[k] - a) % n < height or (x_rows[k] - a) % n < height:
-                    ok = False
-                    break
-            if ok:
-                target = list(state)
-                target[i], target[j] = b, a
-                out.append(tuple(target))
-    return out
+        rest = need[:, None] - t.weights[i]
+        ok = ((used[:, None] & bits) == 0) & (rest >= 0) & (rest < t.weight_span)
+        ok[ok] = reach[(full ^ (used[:, None] | bits))[ok], rest[ok]]
+        size = int(np.count_nonzero(ok))
+        if size > cap:
+            raise BudgetExceeded(
+                f"fiber A={A}: {size} partial generators at column {i + 1} exceed budget {cap}"
+            )
+        rows, cols = np.nonzero(ok)
+        states = np.column_stack([states[rows], cols.astype(np.int8)])
+        need = rest[rows, cols]
+        used = used[rows] | bits[cols]
+    return states
 
 
-def _boundary_entries(G, src_codes, tgt_index):
-    """Sparse (target_row, source_col) entries of one boundary block."""
+# -- tilde boundary blocks -------------------------------------------------------
+
+
+def slice_boundary(G, src_codes, tgt_codes):
+    """Boundary block of the fully blocked differential between two slices.
+
+    ``src_codes`` are the byte codes of the sources (columns), ``tgt_codes``
+    the sorted codes of the target slice (rows).  Returns the sorted (nnz x 2)
+    int64 array of (row, col) positions hit by an odd number of empty
+    rectangles.  The rectangle from column i to column i+s is empty iff its
+    height stays below the upward row distance of every interior point (a
+    running minimum over s) and of every marker in its columns (the grid's
+    gap table).
+    """
     n = G.n
-    o_rows = tuple(r - 1 for r in G.sigma_O)
-    x_rows = tuple(r - 1 for r in G.sigma_X)
-    entries = set()
-    for col, code in enumerate(src_codes):
-        for target in _tilde_targets(n, o_rows, x_rows, _decode(int(code), n)):
-            row = tgt_index.get(_encode(target))
-            if row is not None:
-                entries ^= {(row, col)}  # mod-2 multiplicity
-    return entries
+    S = _decode(src_codes, n)
+    lines = np.arange(n)
+    D = (S[:, (lines[:, None] + lines) % n] - S[:, :, None]) % n  # [x, i, s]
+    inner = np.minimum.accumulate(D[:, :, 1:-1], axis=2)
+    inner = np.concatenate([np.full(D.shape[:2] + (1,), n, dtype=np.int8), inner], axis=2)
+    gap = grading_tables(G).gap[lines[:, None], lines[1:], S[:, :, None]]
+    x, i, s = np.nonzero(np.minimum(inner, gap) >= D[:, :, 1:])
+    j = (i + s + 1) % n
+    T = S[x]
+    k = np.arange(len(x))
+    T[k, i], T[k, j] = S[x, j], S[x, i]
+    targets = _encode(T)
+    rows = np.searchsorted(tgt_codes, targets)
+    hit = rows < len(tgt_codes)
+    hit[hit] = tgt_codes[rows[hit]] == targets[hit]
+    keys, counts = np.unique(rows[hit] * len(S) + x[hit], return_counts=True)
+    keys = keys[counts % 2 == 1]
+    return np.stack([keys // len(S), keys % len(S)], axis=1)
 
 
 def _fiber_ranks(G, codes, M):
-    """Per-Maslov homology ranks of one Alexander fiber."""
-    groups = {}
-    for m in np.unique(M):
-        sel = M == m
-        groups[int(m)] = codes[sel]
-    index = {
-        m: {int(c): k for k, c in enumerate(cs)} for m, cs in groups.items()
-    }
+    """Per-Maslov homology ranks of one Alexander fiber, sorted by (M, code)."""
+    ms, starts = np.unique(M, return_index=True)
+    groups = dict(zip(ms.tolist(), np.split(codes, starts[1:])))
     brank = {}  # m -> rank of boundary out of Maslov degree m
     for m, src in groups.items():
-        tgt = index.get(m - 1)
-        if not tgt:
-            brank[m] = 0
-            continue
-        entries = _boundary_entries(G, src, tgt)
-        brank[m] = rank_from_entries(len(tgt), len(src), entries)
+        tgt = groups.get(m - 1)
+        if tgt is not None:
+            entries = slice_boundary(G, src, tgt)
+            brank[m] = rank_from_entries(len(tgt), len(src), entries)
     ranks = {}
     for m, cs in groups.items():
         h = len(cs) - brank.get(m, 0) - brank.get(m + 1, 0)
@@ -304,27 +282,15 @@ def generating_function_mod2(G):
     Mod 2 the permanent equals the determinant, so the full generating
     function over n! generators reduces to an n x n polynomial determinant.
     """
-    n = G.n
     t = grading_tables(G)
-    g2 = [[t.FX[i][j] - t.FO[i][j] for j in range(n)] for i in range(n)]
-    c2 = t.JOO - t.JXX - (n - 1)
-    shift = -min(min(row) for row in g2)
-    rows = [[1 << (g2[i][j] + shift) for j in range(n)] for i in range(n)]
-    det = f2poly.determinant(rows)
+    det = f2poly.determinant([[1 << w for w in row] for row in t.weights.tolist()])
     if det == 0:
         raise AsymmetricResult("generating function vanished mod 2")
-    offset = c2 - n * shift
-    exps = set()
-    e = 0
-    while det:
-        if det & 1:
-            a2 = e + offset
-            if a2 % 2:
-                raise AsymmetricResult("odd doubled Alexander exponent")
-            exps.add(a2 // 2)
-        det >>= 1
-        e += 1
-    return exps
+    offset = t.weight_base + t.JOO - t.JXX - (G.n - 1)
+    exps2 = [e + offset for e in range(det.bit_length()) if det >> e & 1]
+    if any(a2 % 2 for a2 in exps2):
+        raise AsymmetricResult("odd doubled Alexander exponent")
+    return {a2 // 2 for a2 in exps2}
 
 
 def alexander_polynomial(G):
@@ -415,6 +381,8 @@ def tilde_homology(G, force=False, workers=None, max_slice=None):
     gen_counts = {}
     jobs = [(G, A, codes, M) for A, (codes, M) in sorted(fibers.items())]
     if workers and workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_fiber_worker, jobs))
     else:
@@ -470,23 +438,18 @@ def class_vanishes(G, chain, flavor="tilde", cap=2):
 
 def _tilde_vanishes(G, chain, bg):
     fiber = generators_with_alexander(G, bg.A)
-    if len(fiber) > max_slice_budget():
-        raise BudgetExceeded(f"fiber A={bg.A} has {len(fiber)} generators")
-    slice_lo = sorted(s for s in fiber if bigrading(G, s).M == bg.M)
-    slice_hi = sorted(s for s in fiber if bigrading(G, s).M == bg.M + 1)
-    lo_index = {s: k for k, s in enumerate(slice_lo)}
-    assert all(s in lo_index for s in chain), "cycle outside its own slice"
-    if not slice_hi:
+    M, _ = grade_array(G, fiber)
+    codes = _encode(fiber)
+    slice_lo = codes[M == bg.M]  # sorted, as the fiber's rows are
+    slice_hi = codes[M == bg.M + 1]
+    chain_codes = _encode(np.array(chain))
+    rows = np.searchsorted(slice_lo, chain_codes)
+    if rows.max() >= len(slice_lo) or (slice_lo[rows] != chain_codes).any():
+        raise NotACycle("cycle outside its own slice")
+    if not len(slice_hi):
         return "Survives"
-    entries = set()
-    for col, src in enumerate(slice_hi):
-        for tgt, v in differential(G, src, "tilde").items():
-            if v:
-                entries.add((lo_index[tgt], col))
-    matrix = SparseF2Matrix(len(slice_lo), len(slice_hi), entries)
-    b = [0] * len(slice_lo)
-    for s in chain:
-        b[lo_index[s]] ^= 1
+    matrix = SparseF2Matrix(len(slice_lo), len(slice_hi), slice_boundary(G, slice_hi, slice_lo))
+    b = np.bincount(rows, minlength=len(slice_lo)) % 2
     return "Vanishes" if f2_solve(matrix, b) is not None else "Survives"
 
 
@@ -495,12 +458,11 @@ def _minus0_vanishes(G, chain, bg, cap):
     # M(y) = M + 1 + 2 deg(m); equations indexed by (generator, monomial).
     unknowns = []
     for d in range(cap + 1):
-        for s in generators_with_alexander(G, bg.A + d):
-            if bigrading(G, s).M == bg.M + 1 + 2 * d:
-                for mono in itertools.combinations_with_replacement(
-                    range(1, G.n + 1), d
-                ):
-                    unknowns.append((s, tuple(mono)))
+        fiber = generators_with_alexander(G, bg.A + d)
+        M, _ = grade_array(G, fiber)
+        for s in map(tuple, fiber[M == bg.M + 1 + 2 * d].tolist()):
+            for mono in itertools.combinations_with_replacement(range(1, G.n + 1), d):
+                unknowns.append((s, mono))
     if not unknowns:
         return "NoPreimageUpToCap"
     row_index = {}

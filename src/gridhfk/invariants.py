@@ -196,7 +196,8 @@ def nonsimplicity_pipeline(GA, GB, reps=1):
         "grid_sizes": (side_a.n, side_b.n),
         "flavor_note": FLAVOR_NOTE,
     }
-    assert report["sl_plus"][0] == report["sl_plus"][1]
+    if report["sl_plus"][0] != report["sl_plus"][1]:
+        raise SlMismatch(f"composites differ in sl_plus: {report['sl_plus']}")
     try:
         verdict_a = theta_status(side_a).tilde_verdict
         verdict_b = theta_status(side_b).tilde_verdict

@@ -1,7 +1,8 @@
 """Sparse linear algebra over F2.
 
-Matrices are sets of (row, col) positions; elimination runs on rows packed
-64 columns to a machine word, so the inner loop is a vectorized xor.
+Matrices are (row, col) positions, given as pairs or as an (nnz x 2) array;
+elimination runs on rows packed 64 columns to a machine word, so the inner
+loop is a vectorized xor.
 """
 
 from __future__ import annotations
@@ -13,30 +14,35 @@ import numpy as np
 from .errors import DimensionMismatch
 
 
+def _as_array(entries):
+    """(nnz x 2) int64 array of (row, col) positions from an array or pairs."""
+    if isinstance(entries, np.ndarray):
+        return entries.reshape(-1, 2).astype(np.int64, copy=False)
+    return np.array(list(entries), dtype=np.int64).reshape(-1, 2)
+
+
 @dataclass
 class SparseF2Matrix:
     rows: int
     cols: int
-    entries: set = field(default_factory=set)
+    entries: set = field(default_factory=set)  # (row, col) pairs or an (nnz x 2) array
 
     def __post_init__(self):
-        for r, c in self.entries:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise DimensionMismatch(f"entry {(r, c)} outside {self.rows}x{self.cols}")
+        e = _as_array(self.entries)
+        bad = (e < 0).any(axis=1) | (e[:, 0] >= self.rows) | (e[:, 1] >= self.cols)
+        if bad.any():
+            r, c = e[bad.argmax()].tolist()
+            raise DimensionMismatch(f"entry {(r, c)} outside {self.rows}x{self.cols}")
 
     def transpose(self):
-        return SparseF2Matrix(self.cols, self.rows, {(c, r) for r, c in self.entries})
-
-    def to_coord_text(self):
-        """Debug dump: one 'row col' pair per line, 1-based, sorted."""
-        return "\n".join(f"{r + 1} {c + 1}" for r, c in sorted(self.entries))
+        return SparseF2Matrix(self.cols, self.rows, _as_array(self.entries)[:, ::-1])
 
 
-def _pack(rows, cols, entries, extra_cols=0):
-    words = (cols + extra_cols + 63) // 64
-    packed = np.zeros((rows, max(words, 1)), dtype=np.uint64)
-    for r, c in entries:
-        packed[r, c >> 6] |= np.uint64(1) << np.uint64(c & 63)
+def _pack(rows, cols, entries):
+    """Rows of a 0/1 matrix as bits of uint64 words, 64 columns to a word."""
+    packed = np.zeros((rows, max((cols + 63) // 64, 1)), dtype=np.uint64)
+    r, c = _as_array(entries).T
+    np.bitwise_or.at(packed, (r, c >> 6), np.uint64(1) << (c & 63).astype(np.uint64))
     return packed
 
 
@@ -70,24 +76,18 @@ def _eliminate(packed, cols):
 
 def f2_rank(matrix):
     """Rank over F2 by Gaussian elimination on packed rows."""
-    if not matrix.entries:
-        return 0
-    # Eliminating along the smaller dimension is cheaper; rank is symmetric.
-    m = matrix if matrix.rows <= matrix.cols else matrix.transpose()
-    packed = _pack(m.rows, m.cols, m.entries)
-    return len(_eliminate(packed, m.cols))
+    return rank_from_entries(matrix.rows, matrix.cols, matrix.entries)
 
 
 def rank_from_entries(rows, cols, entries):
-    """f2_rank without building the dataclass; entries is any iterable."""
-    entries = list(entries)
-    if not entries:
+    """f2_rank without building the dataclass; entries are pairs or an array."""
+    e = _as_array(entries)
+    if not len(e):
         return 0
-    if rows <= cols:
-        packed = _pack(rows, cols, entries)
-        return len(_eliminate(packed, cols))
-    packed = _pack(cols, rows, [(c, r) for r, c in entries])
-    return len(_eliminate(packed, rows))
+    # Eliminating along the smaller dimension is cheaper; rank is symmetric.
+    if rows > cols:
+        rows, cols, e = cols, rows, e[:, ::-1]
+    return len(_eliminate(_pack(rows, cols, e), cols))
 
 
 def f2_solve(matrix, b):
@@ -96,26 +96,20 @@ def f2_solve(matrix, b):
     ``b`` is an iterable of 0/1 of length ``matrix.rows``; the result is a
     list of 0/1 of length ``matrix.cols``.
     """
-    b = list(b)
+    b = np.fromiter(b, dtype=np.int64)
     if len(b) != matrix.rows:
         raise DimensionMismatch(f"rhs length {len(b)} != rows {matrix.rows}")
     cols = matrix.cols
-    entries = set(matrix.entries)
-    for r, bit in enumerate(b):
-        if bit & 1:
-            entries.add((r, cols))  # augmented column
-    packed = _pack(matrix.rows, cols + 1, entries)
+    rhs = np.flatnonzero(b & 1)
+    aug = np.column_stack([rhs, np.full(len(rhs), cols)])  # augmented column
+    packed = _pack(matrix.rows, cols + 1, np.concatenate([_as_array(matrix.entries), aug]))
     pivots = _eliminate(packed, cols)
     # A leftover 1 in the augmented column of a zero row means no solution.
-    bcol_w = cols >> 6
-    bcol_bit = np.uint64(1) << np.uint64(cols & 63)
-    nrows = matrix.rows
-    first_free = pivots[-1][0] + 1 if pivots else 0
-    for r in range(first_free, nrows):
-        if packed[r, bcol_w] & bcol_bit:
-            return None
-    x = [0] * cols
-    for row, col in pivots:
-        if packed[row, bcol_w] & bcol_bit:
-            x[col] = 1
-    return x
+    bcol = packed[:, cols >> 6] & np.uint64(1 << (cols & 63))
+    if bcol[len(pivots):].any():
+        return None
+    x = np.zeros(cols, dtype=np.int64)
+    if pivots:
+        prow, pcol = np.array(pivots).T
+        x[pcol] = bcol[prow] != 0
+    return x.tolist()

@@ -381,31 +381,34 @@ def normalize_corners(G, max_extra=3, max_moves=6):
         raise MultiComponent("corner normalization requires a knot")
     if has_corner_x(G) and has_corner_o(G):
         return G
+    # Breadth-first, with the goal tested as each grid is generated: the
+    # queue keeps generation order, so this finds the grid a test on
+    # dequeue would, without expanding the rest of its level.
     seen = {(G.sigma_O, G.sigma_X)}
     queue = deque([(G, 0)])
-    found = None
-    while queue:
+    found = (G, _corner_pair(G))
+    while queue and found[1] is None:
         H, depth = queue.popleft()
-        pair = _corner_pair(H)
-        if pair is not None:
-            found = (H, pair)
-            break
         if depth >= max_moves:
             continue
         for H2 in _corner_moves(H):
-            if H2.n > G.n + max_extra:
-                continue
             key = (H2.sigma_O, H2.sigma_X)
-            if key not in seen:
-                seen.add(key)
-                queue.append((H2, depth + 1))
-    if found is None:
+            if H2.n > G.n + max_extra or key in seen:
+                continue
+            seen.add(key)
+            found = (H2, _corner_pair(H2))
+            if found[1] is not None:
+                break
+            queue.append((H2, depth + 1))
+    H, pair = found
+    if pair is None:
         raise CornerConditionUnmet(
             f"no corner normalization within {max_moves} moves / +{max_extra} size"
         )
-    H, (cx, rx) = found
+    cx, rx = pair
     out = _cyclic(H, (H.n - rx) % H.n, (H.n - cx) % H.n)
-    assert has_corner_x(out) and has_corner_o(out)
+    if not (has_corner_x(out) and has_corner_o(out)):
+        raise CornerConditionUnmet("cyclic shift did not place both corner markers")
     return out
 
 

@@ -1,0 +1,82 @@
+"""Invariants fail with typed errors, also under ``python -O``, and budgets
+and environment settings fail cleanly."""
+
+import ast
+import random
+import time
+from pathlib import Path
+
+import pytest
+
+import gridhfk
+from gridhfk import (
+    BudgetExceeded,
+    DimensionMismatch,
+    GridError,
+    class_vanishes,
+    generators_with_alexander,
+    x_plus,
+)
+from gridhfk import f2poly
+from gridhfk.cli import main
+from gridhfk.errors import ConfigError
+from gridhfk.homology import max_slice_budget
+
+from conftest import random_knot
+
+
+def test_no_asserts_in_library():
+    for path in sorted(Path(gridhfk.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not asserts, f"{path.name} asserts at lines {asserts}"
+
+
+def test_determinant_rejects_ragged_matrix():
+    with pytest.raises(DimensionMismatch):
+        f2poly.determinant([[1, 0], [1]])
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5", "1e6", ""])
+def test_bad_max_slice_is_typed_error(monkeypatch, raw):
+    monkeypatch.setenv("GRIDHFK_MAX_SLICE", raw)
+    with pytest.raises(ConfigError, match="GRIDHFK_MAX_SLICE"):
+        max_slice_budget()
+    assert issubclass(ConfigError, GridError)
+
+
+def test_max_slice_budget_reads_environment(monkeypatch):
+    monkeypatch.setenv("GRIDHFK_MAX_SLICE", "1234")
+    assert max_slice_budget() == 1234
+    monkeypatch.delenv("GRIDHFK_MAX_SLICE")
+    assert max_slice_budget() == 5_000_000
+
+
+def test_cli_bad_max_slice_exits_cleanly(monkeypatch, tmp_path, capsys):
+    grid = tmp_path / "unknot.grid"
+    grid.write_text("n=2\nO=1,2\nX=2,1\n")
+    monkeypatch.setenv("GRIDHFK_MAX_SLICE", "abc")
+    code = main(["homology", str(grid)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and "GRIDHFK_MAX_SLICE" in err
+
+
+def test_small_budget_stops_large_fiber_early(monkeypatch):
+    # the x+ fiber of this 11x11 knot holds over a million generators; the
+    # frontier exceeds the budget long before it is listed
+    G = random_knot(random.Random(11), 11)
+    monkeypatch.setenv("GRIDHFK_MAX_SLICE", "20000")
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="partial generators .* budget 20000"):
+        class_vanishes(G, [x_plus(G)])
+    assert time.perf_counter() - start < 1.0
+
+
+def test_fiber_table_over_budget_is_refused():
+    # the exact pruning table of a 24x24 grid would take 2^24 rows
+    G = random_knot(random.Random(24), 24)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="fiber search table"):
+        generators_with_alexander(G, 0)
+    assert time.perf_counter() - start < 1.0

@@ -1,6 +1,8 @@
 import itertools
 import json
+import random
 
+import numpy as np
 import pytest
 
 from gridhfk import (
@@ -18,16 +20,20 @@ from gridhfk import (
     x_plus,
 )
 from gridhfk import f2poly
+from gridhfk.corpus import builtin_entries
 from gridhfk.homology import (
-    _boundary_entries,
-    _tilde_targets,
+    _decode,
+    _encode,
     enumerate_fibers,
     estimated_max_slice,
     format_qt,
     format_t,
     hat_from_tilde,
+    slice_boundary,
 )
+from gridhfk.invariants import iterated_connect_sum, x_minus
 
+import oracles
 from conftest import random_knot
 
 
@@ -92,25 +98,91 @@ def test_generators_with_alexander_matches_fibers(trefoil):
 
 
 def test_tilde_targets_agree_with_differential(rng):
-    # the optimized enumeration loop against the rectangle-based definition
+    # the oracle's enumeration loop against the rectangle-based definition
     for _ in range(4):
         G = random_knot(rng, 6)
         o_rows = tuple(r - 1 for r in G.sigma_O)
         x_rows = tuple(r - 1 for r in G.sigma_X)
         for state in itertools.islice(itertools.permutations(range(6)), 60):
-            fast = sorted(_tilde_targets(6, o_rows, x_rows, state))
+            fast = sorted(oracles.tilde_targets(6, o_rows, x_rows, state))
             slow = sorted(differential(G, state))
             assert fast == slow
+
+
+def _states(codes, n):
+    return [tuple(s) for s in _decode(codes, n).tolist()]
+
+
+def _index(codes, n):
+    return {s: i for i, s in enumerate(_states(codes, n))}
 
 
 def test_boundary_entries_mod2(rng):
     G = random_knot(rng, 5)
     fibers = enumerate_fibers(G)
     a = next(iter(fibers))
-    codes, _ = fibers[a]
-    index = {c: i for i, c in enumerate(codes.tolist())}
-    entries = _boundary_entries(G, codes.tolist(), index)
+    codes, M = fibers[a]
+    src, tgt = codes[M == M.max()], codes[M == M.max() - 1]
+    entries = oracles.boundary_entries(G, _states(src, 5), _index(tgt, 5))
     assert all(isinstance(r, int) and isinstance(c, int) for r, c in entries)
+    block = slice_boundary(G, src, tgt)
+    assert block.dtype == np.int64 and block.shape == (len(entries), 2)
+    assert set(map(tuple, block.tolist())) == entries
+
+
+def _oracle_grids():
+    rng = random.Random(7070)
+    grids = [(e.name, e.grid) for e in builtin_entries()]
+    sizes = (5, 5, 5, 6, 6, 6, 7, 7, 7)
+    grids += [(f"random{n}-{k}", random_knot(rng, n)) for k, n in enumerate(sizes)]
+    return grids
+
+
+_ORACLE_GRIDS = _oracle_grids()
+
+
+@pytest.mark.parametrize("name,G", _ORACLE_GRIDS, ids=[name for name, _ in _ORACLE_GRIDS])
+def test_slice_builder_matches_oracles(name, G):
+    # every (A, M) slice: same boundary entries, same fiber states, and the
+    # same x+/x- verdicts as the one-state-at-a-time oracles
+    fibers = enumerate_fibers(G)
+    for a, (codes, M) in fibers.items():
+        fiber = generators_with_alexander(G, a)
+        assert fiber.dtype == np.int8 and fiber.shape == (len(codes), G.n)
+        assert set(map(tuple, fiber.tolist())) == set(oracles.fiber_states(G, a))
+        for m in np.unique(M):
+            src, tgt = codes[M == m], codes[M == m - 1]
+            block = slice_boundary(G, src, tgt)
+            oracle = oracles.boundary_entries(G, _states(src, G.n), _index(tgt, G.n))
+            assert set(map(tuple, block.tolist())) == oracle
+    for cycle in (x_plus(G), x_minus(G)):
+        assert class_vanishes(G, [cycle]) == oracles.tilde_verdict(G, [cycle])
+    # the whole differential at once: rectangles holding markers do reach
+    # generators of other slices here, so the marker test must reject them
+    every = np.sort(np.concatenate([codes for codes, _ in fibers.values()]))
+    block = slice_boundary(G, every, every)
+    oracle = oracles.boundary_entries(G, _states(every, G.n), _index(every, G.n))
+    assert set(map(tuple, block.tolist())) == oracle
+
+
+def test_slice_boundary_beyond_sixteen_columns():
+    # states of a 17x17 grid differ in columns a 4-bit packing into one int64
+    # word would drop; random sources against every oracle target
+    rng = random.Random(1717)
+    G = random_knot(rng, 17)
+    o_rows = tuple(r - 1 for r in G.sigma_O)
+    x_rows = tuple(r - 1 for r in G.sigma_X)
+    sources = [tuple(rng.sample(range(17), 17)) for _ in range(40)]
+    targets = sorted({t for s in sources for t in oracles.tilde_targets(17, o_rows, x_rows, s)})
+    block = slice_boundary(G, _encode(np.array(sources)), _encode(np.array(targets)))
+    oracle = oracles.boundary_entries(G, sources, {t: i for i, t in enumerate(targets)})
+    assert len(oracle) > 40 and set(map(tuple, block.tolist())) == oracle
+
+
+def test_verdict_on_nineteen_columns(trefoil):
+    # x+ survives on each trefoil summand, so on their connected sum
+    G = iterated_connect_sum([trefoil] * 3)
+    assert G.n == 19 and class_vanishes(G, [x_plus(G)]) == "Survives"
 
 
 def test_alexander_trefoil(trefoil):

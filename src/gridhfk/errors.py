@@ -45,6 +45,10 @@ class DimensionMismatch(GridError):
     """Linear algebra operands have incompatible shapes."""
 
 
+class PreimageMismatch(GridError):
+    """f2_solve's preimage x fails matrix @ x = b; signals a reduction bug."""
+
+
 class BudgetExceeded(GridError):
     """Estimated slice size exceeds the configured generator budget."""
 

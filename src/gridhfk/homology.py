@@ -481,6 +481,4 @@ def _minus0_vanishes(G, chain, bg, cap):
     rhs_rows = {row_of((s, ())) for s in chain}
     matrix = SparseF2Matrix(len(row_index), len(unknowns), entries)
     b = [1 if r in rhs_rows else 0 for r in range(len(row_index))]
-    # recover rhs parity exactly (chain entries are distinct states)
-    sol = f2_solve(matrix, b)
-    return "Vanishes" if sol is not None else "NoPreimageUpToCap"
+    return "Vanishes" if f2_solve(matrix, b) is not None else "NoPreimageUpToCap"

@@ -1,8 +1,8 @@
 """Sparse linear algebra over F2.
 
 Matrices are (row, col) positions, given as pairs or as an (nnz x 2) array;
-elimination runs on rows packed 64 columns to a machine word, so the inner
-loop is a vectorized xor.
+rank and solve reduce the columns, as Python-int bitsets over rows (xor at C
+speed), left to right against the pivots so far, keyed by their top bit.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, PreimageMismatch
 
 
 def _as_array(entries):
@@ -38,78 +38,75 @@ class SparseF2Matrix:
         return SparseF2Matrix(self.cols, self.rows, _as_array(self.entries)[:, ::-1])
 
 
-def _pack(rows, cols, entries):
-    """Rows of a 0/1 matrix as bits of uint64 words, 64 columns to a word."""
-    packed = np.zeros((rows, max((cols + 63) // 64, 1)), dtype=np.uint64)
-    r, c = _as_array(entries).T
-    np.bitwise_or.at(packed, (r, c >> 6), np.uint64(1) << (c & 63).astype(np.uint64))
-    return packed
+def _distinct(entries):
+    """The positions sorted by (col, row), each once, as an (nnz x 2) array."""
+    e = _as_array(entries)
+    e = e[np.lexsort(e.T)]
+    return e[np.diff(e, axis=0, prepend=-1).any(axis=1)]
 
 
-def _eliminate(packed, cols):
-    """In-place reduction to reduced row echelon form.
+def _columns(e):
+    """Yield (col, bitset) for each nonempty column of ``_distinct`` output,
+    bit r set for each of its rows.  Columns are built as the reduction asks
+    for them, so one that reduces to zero is freed at once."""
+    col, v = None, 0
+    for r, c in zip(*e.T.tolist()):
+        if c != col:
+            if v:
+                yield col, v
+            col, v = c, 0
+        v |= 1 << r
+    if v:
+        yield col, v
 
-    Returns the list of (pivot_row, pivot_col) pairs; len() of it is the rank.
-    """
-    nrows = packed.shape[0]
-    pivots = []
-    row = 0
-    for col in range(cols):
-        if row == nrows:
-            break
-        w = col >> 6
-        bit = np.uint64(1) << np.uint64(col & 63)
-        hits = np.nonzero(packed[row:, w] & bit)[0]
-        if hits.size == 0:
-            continue
-        p = row + hits[0]
-        if p != row:
-            packed[[row, p]] = packed[[p, row]]
-        mask = (packed[:, w] & bit).astype(bool)
-        mask[row] = False
-        if mask.any():
-            packed[mask] ^= packed[row]
-        pivots.append((row, col))
-        row += 1
+
+def _reduce(v, tag, pivots):
+    """Xor pivots ({top bit: (column, tag)}) into ``v`` and its tag until
+    the top bit of ``v`` is no pivot's."""
+    while v and (p := pivots.get(v.bit_length())):
+        v, tag = v ^ p[0], tag ^ p[1]
+    return v, tag
+
+
+def _pivots(columns, tagged):
+    """Column reduction of (col, bitset) pairs, left to right, to {top bit:
+    (reduced column, tag)}, whose length is the rank.  A ``tagged`` column
+    starts with tag 1 << col, so a tag marks the columns summed into it."""
+    pivots = {}
+    for c, v in columns:
+        v, tag = _reduce(v, 1 << c if tagged else 0, pivots)
+        if v:
+            pivots[v.bit_length()] = (v, tag)
     return pivots
 
 
 def f2_rank(matrix):
-    """Rank over F2 by Gaussian elimination on packed rows."""
+    """Rank over F2 by column reduction."""
     return rank_from_entries(matrix.rows, matrix.cols, matrix.entries)
 
 
 def rank_from_entries(rows, cols, entries):
     """f2_rank without building the dataclass; entries are pairs or an array."""
-    e = _as_array(entries)
-    if not len(e):
-        return 0
-    # Eliminating along the smaller dimension is cheaper; rank is symmetric.
-    if rows > cols:
-        rows, cols, e = cols, rows, e[:, ::-1]
-    return len(_eliminate(_pack(rows, cols, e), cols))
+    return len(_pivots(_columns(_distinct(entries)), tagged=False))
 
 
 def f2_solve(matrix, b):
     """Any solution x of matrix @ x = b over F2, or None if b is not in the span.
 
     ``b`` is an iterable of 0/1 of length ``matrix.rows``; the result is a
-    list of 0/1 of length ``matrix.cols``.
+    list of 0/1 of length ``matrix.cols``.  The preimage is checked by a
+    matrix product before it is returned.
     """
-    b = np.fromiter(b, dtype=np.int64)
+    b = np.fromiter(b, dtype=np.int64) & 1
     if len(b) != matrix.rows:
         raise DimensionMismatch(f"rhs length {len(b)} != rows {matrix.rows}")
-    cols = matrix.cols
-    rhs = np.flatnonzero(b & 1)
-    aug = np.column_stack([rhs, np.full(len(rhs), cols)])  # augmented column
-    packed = _pack(matrix.rows, cols + 1, np.concatenate([_as_array(matrix.entries), aug]))
-    pivots = _eliminate(packed, cols)
-    # A leftover 1 in the augmented column of a zero row means no solution.
-    bcol = packed[:, cols >> 6] & np.uint64(1 << (cols & 63))
-    if bcol[len(pivots):].any():
+    e = _distinct(matrix.entries)
+    rhs = int.from_bytes(np.packbits(b, bitorder="little").tobytes(), "little")
+    rest, tag = _reduce(rhs, 0, _pivots(_columns(e), tagged=True))
+    if rest:
         return None
-    x = np.zeros(cols, dtype=np.int64)
-    if pivots:
-        prow, pcol = np.array(pivots).T
-        x[pcol] = bcol[prow] != 0
+    x = np.frombuffer(tag.to_bytes((matrix.cols + 7) // 8, "little"), dtype=np.uint8)
+    x = np.unpackbits(x, count=matrix.cols, bitorder="little")
+    if (np.bincount(e[x[e[:, 1]] == 1, 0], minlength=matrix.rows) & 1 != b).any():
+        raise PreimageMismatch("column reduction returned x with matrix @ x != b")
     return x.tolist()

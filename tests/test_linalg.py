@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridhfk import linalg
+from gridhfk.corpus import builtin_entries
+from gridhfk.errors import DimensionMismatch, PreimageMismatch
+from gridhfk.homology import enumerate_fibers, slice_boundary
 from gridhfk.linalg import SparseF2Matrix, f2_rank, f2_solve, rank_from_entries
+
+from conftest import random_knot
 
 
 def dense_rank_oracle(rows, cols, entries):
-    """Plain dense Gaussian elimination over F2, independent of the packed
-    word implementation under test."""
+    """Plain dense Gaussian elimination over F2, independent of the bitset
+    column reduction under test."""
     A = np.zeros((rows, cols), dtype=np.uint8)
     for r, c in entries:
         A[r, c] ^= 1
@@ -134,8 +140,92 @@ def test_row_duplication_does_not_change_rank(n, seed):
 
 
 def test_rank_wide_matrix_beyond_word_size():
-    # more than 64 columns exercises multi-word packing
+    # 130 rows and columns: bitsets and tags wider than one machine word
     n = 130
     m = SparseF2Matrix(n, n, {(i, i) for i in range(n)} | {(i, (i + 1) % n) for i in range(n)})
     # circulant with two ones per row: rank n-1 for even n
     assert f2_rank(m) == n - 1
+
+
+def _block_grids():
+    rng = random.Random(4040)
+    grids = [(e.name, e.grid) for e in builtin_entries()]
+    return grids + [(f"random7-{k}", random_knot(rng, 7)) for k in range(5)]
+
+
+_BLOCK_GRIDS = _block_grids()
+
+
+@pytest.mark.parametrize("name,G", _BLOCK_GRIDS, ids=[name for name, _ in _BLOCK_GRIDS])
+def test_rank_of_every_boundary_block_matches_dense_oracle(name, G):
+    for codes, M in enumerate_fibers(G).values():
+        for m in np.unique(M):
+            src, tgt = codes[M == m], codes[M == m - 1]
+            block = slice_boundary(G, src, tgt)
+            expected = dense_rank_oracle(len(tgt), len(src), block.tolist())
+            assert rank_from_entries(len(tgt), len(src), block) == expected
+
+
+def test_unsorted_repeated_positions_count_once():
+    rng = random.Random(10)
+    for _ in range(50):
+        rows, cols = rng.randint(1, 80), rng.randint(1, 80)
+        entries = random_entries(rng, rows, cols, 0.1)
+        listed = sorted(entries) * 2 + rng.sample(sorted(entries), len(entries) // 2)
+        rng.shuffle(listed)
+        shuffled = np.array(listed, dtype=np.int64).reshape(-1, 2)
+        assert rank_from_entries(rows, cols, shuffled) == dense_rank_oracle(rows, cols, entries)
+        b = _apply(SparseF2Matrix(rows, cols, entries), [rng.randint(0, 1) for _ in range(cols)])
+        x = f2_solve(SparseF2Matrix(rows, cols, shuffled), b)
+        assert x is not None and _apply(SparseF2Matrix(rows, cols, entries), x) == b
+
+
+def test_tall_matrix_with_few_columns():
+    rng = random.Random(11)
+    for cols in (1, 2, 3):
+        for _ in range(20):
+            rows = rng.randint(65, 200)
+            entries = random_entries(rng, rows, cols, 0.05)
+            m = SparseF2Matrix(rows, cols, entries)
+            assert f2_rank(m) == dense_rank_oracle(rows, cols, entries)
+            x0 = [rng.randint(0, 1) for _ in range(cols)]
+            x = f2_solve(m, _apply(m, x0))
+            assert len(x) == cols and _apply(m, x) == _apply(m, x0)
+
+
+def test_empty_columns():
+    # columns 0, 2 and 5 hold no entry: rank 2, and they never enter a preimage
+    entries = {(0, 1), (1, 1), (1, 3), (2, 4), (3, 4)}
+    m = SparseF2Matrix(4, 6, entries)
+    assert f2_rank(m) == dense_rank_oracle(4, 6, entries) == 3
+    x = f2_solve(m, [1, 0, 1, 1])
+    assert len(x) == 6 and x[0] == x[2] == x[5] == 0 and _apply(m, x) == [1, 0, 1, 1]
+    assert f2_solve(m, [0, 0, 1, 0]) is None
+
+
+def test_zero_rhs_has_zero_preimage():
+    m = SparseF2Matrix(5, 4, {(0, 0), (1, 0), (3, 2), (4, 3)})
+    assert f2_solve(m, [0] * 5) == [0] * 4
+    assert f2_solve(SparseF2Matrix(3, 2, set()), [0, 0, 0]) == [0, 0]
+
+
+def test_solve_rejects_rhs_of_wrong_length():
+    m = SparseF2Matrix(3, 3, {(i, i) for i in range(3)})
+    for b in ([1, 0], [1, 0, 0, 1], []):
+        with pytest.raises(DimensionMismatch):
+            f2_solve(m, b)
+
+
+def test_solve_checks_its_preimage(monkeypatch):
+    # a reduction whose tags name the wrong source columns must not get a
+    # wrong preimage past the product check
+    reduce = linalg._pivots
+
+    def corrupted(columns, tagged):
+        return {k: (v, tag ^ 0b10) for k, (v, tag) in reduce(columns, tagged).items()}
+
+    monkeypatch.setattr(linalg, "_pivots", corrupted)
+    m = SparseF2Matrix(3, 3, {(i, i) for i in range(3)})
+    with pytest.raises(PreimageMismatch):
+        f2_solve(m, [1, 0, 0])
+    assert f2_solve(m, [0, 0, 0]) == [0, 0, 0]

@@ -31,7 +31,7 @@ from .grid import (
     transpose_grid,
 )
 from .front import ClassicalInvariants, FrontDiagram, classical_invariants, front_projection
-from .floer import Bigrading, Rectangle, bigrading, differential, empty_rectangles
+from .floer import Bigrading, bigrading, differential
 from .linalg import SparseF2Matrix, f2_rank, f2_solve
 from .homology import (
     HomologyReport,

@@ -34,7 +34,8 @@ class NoSuchPattern(GridError):
 
 
 class OutOfRange(GridError):
-    """A row/column index falls outside 1..n."""
+    """A row/column index falls outside 1..n, or a differential flavor is
+    not one of "tilde" and "minus0"."""
 
 
 class CornerConditionUnmet(GridError):

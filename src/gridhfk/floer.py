@@ -24,7 +24,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import AsymmetricResult
+from .errors import AsymmetricResult, OutOfRange
+
+FLAVORS = ("tilde", "minus0")
 
 
 @dataclass(frozen=True)
@@ -35,29 +37,6 @@ class Bigrading:
     def __add__(self, other):
         return Bigrading(self.M + other.M, self.A + other.A)
 
-    def shifted(self, dM, dA):
-        return Bigrading(self.M + dM, self.A + dA)
-
-
-@dataclass(frozen=True)
-class Rectangle:
-    """Empty rectangle from one generator to another.
-
-    ``col_start``/``row_start`` are the lower-left corner lines, widths are
-    cyclic; ``o_columns`` lists the 1-based columns of the O markers inside
-    (the U-variable indices of the minus0 weight).
-    """
-
-    source: tuple
-    target: tuple
-    col_start: int
-    row_start: int
-    width: int
-    height: int
-    n_O: int
-    n_X: int
-    o_columns: tuple
-
 
 def _point_table(rows):
     """F[i, j] = doubled J-contribution of the point (i, j) against markers."""
@@ -65,6 +44,18 @@ def _point_table(rows):
     right = lines[None, :] >= lines[:, None]  # [i, c]: column c at or right of i
     above = rows[None, :] >= lines[:, None]  # [j, c]: marker of column c at or above j
     return (right[:, None, :] == above[None, :, :]).sum(axis=2)
+
+
+def _gap_table(rows):
+    """gap[i, w, a]: least upward row distance from line a to a marker in
+    columns i .. i+w-1 (cyclic), n for w = 0.  The rectangle with lower left
+    corner (i, a), width w and height h misses every marker iff
+    gap[i, w, a] >= h."""
+    n = len(rows)
+    lines = np.arange(n)
+    dist = (rows[:, None] - lines) % n
+    run = np.minimum.accumulate(dist[(lines[:, None] + lines) % n], axis=1)
+    return np.concatenate([np.full((n, 1, n), n), run[:, :-1]], axis=1).astype(np.int8)
 
 
 def _noninversions(P):
@@ -87,14 +78,10 @@ class GradingTables:
         self.FX = _point_table(x_rows)
         self.JOO = int(_noninversions(o_rows[None])[0])
         self.JXX = int(_noninversions(x_rows[None])[0])
-        # gap[i, w, a]: least upward row distance from line a to a marker in
-        # columns i .. i+w-1 (cyclic), n for w = 0.  The rectangle with lower
-        # left corner (i, a), width w and height h misses every marker iff
-        # gap[i, w, a] >= h.
-        lines = np.arange(n)
-        dist = np.minimum((o_rows[:, None] - lines) % n, (x_rows[:, None] - lines) % n)
-        run = np.minimum.accumulate(dist[(lines[:, None] + lines) % n], axis=1)
-        self.gap = np.concatenate([np.full((n, 1, n), n), run[:, :-1]], axis=1).astype(np.int8)
+        # Rectangle gap tables: the tilde flavor blocks every marker, the
+        # minus0 flavor only the X's.
+        self.gap_x = _gap_table(x_rows)
+        self.gap = np.minimum(_gap_table(o_rows), self.gap_x)
         # Doubled Alexander weights of the points, shifted per column to
         # start at 0: A(x) = (sum_i weights[i, x_i] + weight_base + JOO - JXX
         # - (n-1)) / 2, and every sum is below weight_span.
@@ -149,79 +136,56 @@ def bigrading(G, state):
     return Bigrading(M=int(M[0]), A=int(A[0]))
 
 
-def empty_rectangles(G, state):
-    """All rectangles leaving ``state`` whose interior misses its components.
+def rectangles(G, S, gap):
+    """Every rectangle leaving the states in the rows of ``S`` whose interior
+    misses the points of its source and every marker ``gap`` counts.
 
-    For each ordered column pair (i, j) there is one torus rectangle with its
-    lower-left and upper-right corners on ``state``; the pair (j, i) gives
-    the complementary one.
+    ``S`` is an (N x n) int8 state array and ``gap`` a marker table of
+    ``GradingTables``.  For each ordered column pair (i, j) there is one torus
+    rectangle with its lower-left corner on column i and its upper-right on
+    column j; the pair (j, i) gives the complementary one.  It is empty iff
+    its height stays below the upward row distance of every interior point (a
+    running minimum over the width) and the marker gap.  Returns, per
+    rectangle, the index of its source in ``S``, its left column, width and
+    height, and the (N' x n) array of its targets.
     """
     n = G.n
-    state = tuple(state)
-    o_rows = tuple(r - 1 for r in G.sigma_O)
-    x_rows = tuple(r - 1 for r in G.sigma_X)
-    out = []
-    for i in range(n):
-        a = state[i]
-        for j in range(n):
-            if i == j:
-                continue
-            b = state[j]
-            width = (j - i) % n
-            height = (b - a) % n
-            blocked = False
-            for t in range(1, width):
-                k = (i + t) % n
-                if 0 < (state[k] - a) % n < height:
-                    blocked = True
-                    break
-            if blocked:
-                continue
-            n_O = n_X = 0
-            o_cols = []
-            for t in range(width):
-                c = (i + t) % n
-                if (o_rows[c] - a) % n < height:
-                    n_O += 1
-                    o_cols.append(c + 1)
-                if (x_rows[c] - a) % n < height:
-                    n_X += 1
-            target = list(state)
-            target[i], target[j] = b, a
-            out.append(
-                Rectangle(
-                    source=state,
-                    target=tuple(target),
-                    col_start=i,
-                    row_start=a,
-                    width=width,
-                    height=height,
-                    n_O=n_O,
-                    n_X=n_X,
-                    o_columns=tuple(sorted(o_cols)),
-                )
-            )
-    return out
+    S = np.asarray(S, dtype=np.int8).reshape(-1, n)
+    lines = np.arange(n)
+    D = (S[:, (lines[:, None] + lines) % n] - S[:, :, None]) % n  # [x, i, w]
+    inner = np.minimum.accumulate(D[:, :, 1:-1], axis=2)
+    inner = np.concatenate([np.full(D.shape[:2] + (1,), n, dtype=np.int8), inner], axis=2)
+    g = gap[lines[:, None], lines[1:], S[:, :, None]]
+    x, i, w = np.nonzero(np.minimum(inner, g) >= D[:, :, 1:])
+    w += 1
+    j = (i + w) % n
+    T = S[x]
+    k = np.arange(len(x))
+    T[k, i], T[k, j] = S[x, j], S[x, i]
+    return x, i, w, D[x, i, w], T
 
 
 def differential(G, state, flavor="tilde"):
     """Boundary of a generator as a mod-2 formal sum.
 
     tilde  -> dict {target_state: 1} counting empty rectangles with no markers.
-    minus0 -> dict {(o_columns, target_state): 1}; ``o_columns`` is the sorted
-              tuple of 1-based columns whose U-variable the rectangle picks up.
+    minus0 -> dict {(o_columns, target_state): 1} over rectangles with no X;
+              ``o_columns`` is the sorted tuple of 1-based columns whose O
+              marker (U-variable) the rectangle picks up.
     """
-    if flavor not in ("tilde", "minus0"):
-        raise ValueError(f"unknown flavor {flavor!r}")
+    if flavor not in FLAVORS:
+        raise OutOfRange(f"unknown flavor {flavor!r}")
+    n = G.n
+    t = grading_tables(G)
+    state = np.array(state, dtype=np.int8)
+    _, i, w, h, T = rectangles(G, state, t.gap if flavor == "tilde" else t.gap_x)
+    keys = map(tuple, T.tolist())
+    if flavor == "minus0":
+        cols = np.arange(n)
+        o_rows = np.array(G.sigma_O) - 1
+        inside = ((cols - i[:, None]) % n < w[:, None]) & ((o_rows - state[i, None]) % n < h[:, None])
+        keys = zip([tuple(c + 1 for c, o in enumerate(r) if o) for r in inside.tolist()], keys)
     terms = {}
-    for rect in empty_rectangles(G, state):
-        if rect.n_X:
-            continue
-        if flavor == "tilde":
-            if rect.n_O:
-                continue
-            key = rect.target
-        else:
-            key = (rect.o_columns, rect.target)
+    for key in keys:
         terms[key] = terms.get(key, 0) ^ 1
     return {k: v for k, v in terms.items() if v}

@@ -27,13 +27,12 @@ import numpy as np
 
 from . import f2poly
 from .errors import AsymmetricResult, BudgetExceeded, ConfigError, DivisionInexact
-from .errors import MultiComponent, NotACycle
-from .floer import bigrading, differential, grade_array, grading_tables
+from .errors import MultiComponent, NotACycle, OutOfRange
+from .floer import FLAVORS, bigrading, differential, grade_array, grading_tables, rectangles
 from .grid import component_count
 from .linalg import SparseF2Matrix, f2_solve, rank_from_entries
 
 DEFAULT_MAX_SLICE = 5_000_000
-_CHUNK = 1 << 16
 
 
 def max_slice_budget():
@@ -49,8 +48,8 @@ def estimated_max_slice(n):
     return factorial(n) // (2 * n)
 
 
-def check_budget(G, force=False, max_slice=None):
-    cap = max_slice if max_slice is not None else max_slice_budget()
+def check_budget(G, force=False):
+    cap = max_slice_budget()
     est = estimated_max_slice(G.n)
     if est > cap and not force:
         raise BudgetExceeded(
@@ -75,25 +74,23 @@ def _decode(codes, n):
 def enumerate_fibers(G):
     """All n! generators bucketed by Alexander grading.
 
-    Returns {A: (codes, M)} with codes the byte codes of the permutations
-    and M the matching Maslov gradings; entries sorted by (M, code) for
-    determinism.
+    Lists each fiber the grid's weight table allows with
+    ``generators_with_alexander``, so each is held to the slice budget.
+    Returns {A: (codes, M)} in increasing A, with codes the byte codes of the
+    generators and M the matching Maslov gradings; entries sorted by
+    (M, code) for determinism.
     """
-    buckets = {}
-    perms = itertools.permutations(range(G.n))
-    while chunk := list(itertools.islice(perms, _CHUNK)):
-        P = np.array(chunk, dtype=np.int8)
-        M, A = grade_array(G, P)
-        codes = _encode(P)
-        for a in np.unique(A):
-            sel = A == a
-            buckets.setdefault(int(a), []).append((codes[sel], M[sel]))
+    t = grading_tables(G)
+    shift = t.weight_base + t.JOO - t.JXX - (G.n - 1)  # doubled A of weight 0
     fibers = {}
-    for a, parts in buckets.items():
-        codes = np.concatenate([c for c, _ in parts])
-        M = np.concatenate([m for _, m in parts])
-        order = np.argsort(M, kind="stable")  # permutations come in code order
-        fibers[a] = (codes[order], M[order])
+    for a in range((shift + 1) // 2, (shift + t.weight_span + 1) // 2):
+        P = generators_with_alexander(G, a)
+        if len(P):
+            M, _ = grade_array(G, P)
+            order = np.argsort(M, kind="stable")  # the lister's rows come in code order
+            fibers[a] = (_encode(P)[order], M[order])
+    if sum(len(codes) for codes, _ in fibers.values()) != factorial(G.n):
+        raise AsymmetricResult("integer Alexander fibers miss generators: a link grid?")
     return fibers
 
 
@@ -117,18 +114,18 @@ def generators_with_alexander(G, A):
             f"fiber search table of {table} bytes for n={n} exceeds budget {cap} x {n} bytes"
         )
     need = 2 * A - (t.JOO - t.JXX - (n - 1)) - t.weight_base  # weight still missing
-    if not 0 <= need < t.weight_span:
-        return np.zeros((0, n), dtype=np.int8)
     reach = t.fiber_reach
-    bits = 1 << np.arange(n, dtype=np.int32)
     full = (1 << n) - 1
+    if not (0 <= need < t.weight_span and reach[full, need]):
+        return np.zeros((0, n), dtype=np.int8)
+    bits = 1 << np.arange(n, dtype=np.int32)
     states = np.zeros((1, 0), dtype=np.int8)
     need = np.array([need], dtype=np.int16)
     used = np.zeros(1, dtype=np.int32)  # bitmask of rows taken
     for i in range(n):
-        rest = need[:, None] - t.weights[i]
-        ok = ((used[:, None] & bits) == 0) & (rest >= 0) & (rest < t.weight_span)
-        ok[ok] = reach[(full ^ (used[:, None] | bits))[ok], rest[ok]]
+        rest = need[:, None] - t.weights[i]  # below weight_span, as need is
+        taken = used[:, None] | bits
+        ok = (taken != used[:, None]) & (rest >= 0) & reach[full ^ taken, np.maximum(rest, 0)]
         size = int(np.count_nonzero(ok))
         if size > cap:
             raise BudgetExceeded(
@@ -137,7 +134,7 @@ def generators_with_alexander(G, A):
         rows, cols = np.nonzero(ok)
         states = np.column_stack([states[rows], cols.astype(np.int8)])
         need = rest[rows, cols]
-        used = used[rows] | bits[cols]
+        used = taken[rows, cols]
     return states
 
 
@@ -150,23 +147,10 @@ def slice_boundary(G, src_codes, tgt_codes):
     ``src_codes`` are the byte codes of the sources (columns), ``tgt_codes``
     the sorted codes of the target slice (rows).  Returns the sorted (nnz x 2)
     int64 array of (row, col) positions hit by an odd number of empty
-    rectangles.  The rectangle from column i to column i+s is empty iff its
-    height stays below the upward row distance of every interior point (a
-    running minimum over s) and of every marker in its columns (the grid's
-    gap table).
+    rectangles that miss every marker.
     """
-    n = G.n
-    S = _decode(src_codes, n)
-    lines = np.arange(n)
-    D = (S[:, (lines[:, None] + lines) % n] - S[:, :, None]) % n  # [x, i, s]
-    inner = np.minimum.accumulate(D[:, :, 1:-1], axis=2)
-    inner = np.concatenate([np.full(D.shape[:2] + (1,), n, dtype=np.int8), inner], axis=2)
-    gap = grading_tables(G).gap[lines[:, None], lines[1:], S[:, :, None]]
-    x, i, s = np.nonzero(np.minimum(inner, gap) >= D[:, :, 1:])
-    j = (i + s + 1) % n
-    T = S[x]
-    k = np.arange(len(x))
-    T[k, i], T[k, j] = S[x, j], S[x, i]
+    S = _decode(src_codes, G.n)
+    x, _, _, _, T = rectangles(G, S, grading_tables(G).gap)
     targets = _encode(T)
     rows = np.searchsorted(tgt_codes, targets)
     hit = rows < len(tgt_codes)
@@ -330,10 +314,6 @@ class HomologyReport:
     hat_poincare: dict = field(default_factory=dict)  # (M, A) -> hat rank
     generator_counts: dict = field(default_factory=dict)  # A -> #generators
 
-    @property
-    def poincare(self):
-        return dict(self.ranks)
-
     def hat_total_rank(self):
         return sum(self.hat_poincare.values())
 
@@ -343,11 +323,10 @@ class HomologyReport:
             out[a] = out.get(a, 0) + d
         return out
 
-    def euler_characteristic_exponents_mod2(self, table=None):
-        """Exponent set of sum (-1)^M rank * T^A reduced mod 2."""
-        table = self.hat_poincare if table is None else table
+    def euler_characteristic_exponents_mod2(self):
+        """Exponent set of sum (-1)^M hat rank * T^A reduced mod 2."""
         acc = {}
-        for (m, a), d in table.items():
+        for (m, a), d in self.hat_poincare.items():
             acc[a] = (acc.get(a, 0) + d) % 2
         return {a for a, v in acc.items() if v}
 
@@ -366,7 +345,7 @@ class HomologyReport:
         )
 
 
-def tilde_homology(G, force=False, workers=None, max_slice=None):
+def tilde_homology(G, force=False, workers=None):
     """Full bigraded tilde homology plus the derived hat/Alexander data.
 
     Alexander fibers are independent; with ``workers`` > 1 they are reduced
@@ -375,7 +354,7 @@ def tilde_homology(G, force=False, workers=None, max_slice=None):
     """
     if component_count(G) != 1:
         raise MultiComponent("homology requires a single-component grid")
-    check_budget(G, force=force, max_slice=max_slice)
+    check_budget(G, force=force)
     fibers = enumerate_fibers(G)
     ranks = {}
     gen_counts = {}
@@ -421,6 +400,8 @@ def class_vanishes(G, chain, flavor="tilde", cap=2):
     minus0: bounded.  Searches preimages with U-monomials of total degree at
     most ``cap``; returns "Vanishes" (definitive) or "NoPreimageUpToCap".
     """
+    if flavor not in FLAVORS:
+        raise OutOfRange(f"unknown flavor {flavor!r}")
     chain = [tuple(s) for s in chain]
     if not chain:
         return "Vanishes"
@@ -431,9 +412,7 @@ def class_vanishes(G, chain, flavor="tilde", cap=2):
     _check_cycle(G, chain, flavor)
     if flavor == "tilde":
         return _tilde_vanishes(G, chain, bg)
-    if flavor == "minus0":
-        return _minus0_vanishes(G, chain, bg, cap)
-    raise ValueError(f"unknown flavor {flavor!r}")
+    return _minus0_vanishes(G, chain, bg, cap)
 
 
 def _tilde_vanishes(G, chain, bg):

@@ -159,8 +159,8 @@ def kunneth_check(G1, G2, force=False, workers=None):
 # -- transverse non-simplicity pipeline ------------------------------------------
 
 
-def _ensure_corners(G, need_x=True, need_o=True):
-    if (not need_x or has_corner_x(G)) and (not need_o or has_corner_o(G)):
+def _ensure_corners(G):
+    if has_corner_x(G) and has_corner_o(G):
         return G
     return normalize_corners(G)
 

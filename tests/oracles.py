@@ -2,11 +2,15 @@
 
 Each function here works one generator (or one state) at a time in plain
 Python, and serves the tests as an oracle for
-``homology.generators_with_alexander``, ``homology.slice_boundary``,
+``homology.generators_with_alexander``, ``homology.enumerate_fibers``,
+``homology.slice_boundary``, ``floer.rectangles``, ``floer.differential``,
 ``floer.grade_array`` and the tilde verdict of ``homology.class_vanishes``.
 """
 
-from gridhfk.floer import bigrading, differential, grading_tables
+import itertools
+from dataclasses import dataclass
+
+from gridhfk.floer import bigrading, grading_tables
 from gridhfk.linalg import SparseF2Matrix, f2_solve
 
 
@@ -20,6 +24,17 @@ def maslov2_pair(G, state):
     mo2 = 2 * noninv - 2 * sumO + 2 * t.JOO + 2
     mx2 = 2 * noninv - 2 * sumX + 2 * t.JXX + 2
     return mo2, mx2
+
+
+def fibers(G):
+    """{A: [(M, state), ...]} over all n! permutations, graded one state at
+    a time, in increasing A and each fiber sorted by (M, state)."""
+    out = {}
+    for state in itertools.permutations(range(G.n)):
+        mo2, mx2 = maslov2_pair(G, state)
+        a2 = (mo2 - mx2) // 2 - (G.n - 1)
+        out.setdefault(a2 // 2, []).append((mo2 // 2, state))
+    return {a: sorted(v) for a, v in sorted(out.items())}
 
 
 def fiber_states(G, A):
@@ -53,6 +68,82 @@ def fiber_states(G, A):
 
     rec(0, 0)
     return out
+
+
+@dataclass(frozen=True)
+class Rectangle:
+    """Empty rectangle from one generator to another.
+
+    ``col_start``/``row_start`` are the lower-left corner lines, widths are
+    cyclic; ``o_columns`` lists the 1-based columns of the O markers inside
+    (the U-variable indices of the minus0 weight).
+    """
+
+    source: tuple
+    target: tuple
+    col_start: int
+    row_start: int
+    width: int
+    height: int
+    n_O: int
+    n_X: int
+    o_columns: tuple
+
+
+def empty_rectangles(G, state):
+    """All rectangles leaving ``state`` whose interior misses its components.
+
+    For each ordered column pair (i, j) there is one torus rectangle with its
+    lower-left and upper-right corners on ``state``; the pair (j, i) gives
+    the complementary one.
+    """
+    n = G.n
+    state = tuple(state)
+    o_rows = tuple(r - 1 for r in G.sigma_O)
+    x_rows = tuple(r - 1 for r in G.sigma_X)
+    out = []
+    for i in range(n):
+        a = state[i]
+        for j in range(n):
+            if i == j:
+                continue
+            b = state[j]
+            width = (j - i) % n
+            height = (b - a) % n
+            if any(0 < (state[(i + t) % n] - a) % n < height for t in range(1, width)):
+                continue
+            n_O = n_X = 0
+            o_cols = []
+            for t in range(width):
+                c = (i + t) % n
+                if (o_rows[c] - a) % n < height:
+                    n_O += 1
+                    o_cols.append(c + 1)
+                if (x_rows[c] - a) % n < height:
+                    n_X += 1
+            target = list(state)
+            target[i], target[j] = b, a
+            out.append(
+                Rectangle(state, tuple(target), i, a, width, height, n_O, n_X, tuple(sorted(o_cols)))
+            )
+    return out
+
+
+def differential(G, state, flavor="tilde"):
+    """Boundary of a generator as a mod-2 formal sum, in the output format
+    of ``floer.differential``."""
+    terms = {}
+    for rect in empty_rectangles(G, state):
+        if rect.n_X:
+            continue
+        if flavor == "tilde":
+            if rect.n_O:
+                continue
+            key = rect.target
+        else:
+            key = (rect.o_columns, rect.target)
+        terms[key] = terms.get(key, 0) ^ 1
+    return {k: v for k, v in terms.items() if v}
 
 
 def tilde_targets(n, o_rows, x_rows, state):
@@ -101,7 +192,7 @@ def boundary_entries(G, sources, tgt_index):
 
 def tilde_verdict(G, chain):
     """Vanishing verdict of an F2 cycle in the fully blocked complex, built
-    state by state from ``bigrading`` and ``differential``."""
+    state by state from ``bigrading`` and the reference ``differential``."""
     bg = bigrading(G, chain[0])
     fiber = fiber_states(G, bg.A)
     slice_lo = sorted(s for s in fiber if bigrading(G, s).M == bg.M)

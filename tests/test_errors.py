@@ -10,17 +10,20 @@ import pytest
 
 import gridhfk
 from gridhfk import (
+    AsymmetricResult,
     BudgetExceeded,
     DimensionMismatch,
     GridError,
+    OutOfRange,
     class_vanishes,
+    differential,
     generators_with_alexander,
     x_plus,
 )
 from gridhfk import f2poly
 from gridhfk.cli import main
 from gridhfk.errors import ConfigError
-from gridhfk.homology import max_slice_budget
+from gridhfk.homology import enumerate_fibers, max_slice_budget
 
 from conftest import random_knot
 
@@ -80,3 +83,23 @@ def test_fiber_table_over_budget_is_refused():
     with pytest.raises(BudgetExceeded, match="fiber search table"):
         generators_with_alexander(G, 0)
     assert time.perf_counter() - start < 1.0
+
+
+def test_unknown_flavor_is_typed_error(trefoil):
+    cycle = x_plus(trefoil)
+    with pytest.raises(OutOfRange, match="flavor 'hat'"):
+        differential(trefoil, cycle, flavor="hat")
+    # checked before the chain is graded or tested: an empty chain would
+    # otherwise vanish at once
+    for chain in ([cycle], []):
+        with pytest.raises(OutOfRange, match="flavor 'hat'"):
+            class_vanishes(trefoil, chain, flavor="hat")
+
+
+def test_fibers_of_a_two_component_grid_are_refused():
+    # every generator of a two-component link has a half-integer Alexander
+    # grading, so no integer fiber lists it
+    G = gridhfk.GridDiagram(5, (2, 4, 3, 5, 1), (3, 1, 5, 2, 4))
+    assert gridhfk.component_count(G) == 2
+    with pytest.raises(AsymmetricResult, match="miss generators"):
+        enumerate_fibers(G)

@@ -1,9 +1,12 @@
 import itertools
+import random
 
 import numpy as np
+import pytest
 
-from gridhfk import GridDiagram, Bigrading, bigrading, differential, empty_rectangles
-from gridhfk.floer import grade_array, grading_tables
+from gridhfk import GridDiagram, Bigrading, bigrading, differential
+from gridhfk.corpus import builtin_entries
+from gridhfk.floer import FLAVORS, grade_array, grading_tables, rectangles
 
 import oracles
 from conftest import random_knot
@@ -25,12 +28,46 @@ def test_bigrading_add():
 
 
 def test_empty_rectangles_are_empty(rng):
+    # the kernel on every state at once against the per-state reference,
+    # with no marker blocked, with the X's blocked and with every marker
     G = random_knot(rng, 5)
-    for state in all_states(5):
-        for rect in empty_rectangles(G, state):
-            # interior points of the rectangle must avoid the state
-            assert rect.target != state
-            assert 0 <= rect.n_O and 0 <= rect.n_X
+    t = grading_tables(G)
+    S = np.array(list(all_states(5)), dtype=np.int8)
+    for gap, keep in (
+        (np.full_like(t.gap, 5), lambda r: True),
+        (t.gap_x, lambda r: not r.n_X),
+        (t.gap, lambda r: not r.n_X and not r.n_O),
+    ):
+        x, i, w, h, T = rectangles(G, S, gap)
+        got = zip(x.tolist(), i.tolist(), S[x, i].tolist(), w.tolist(), h.tolist(), T.tolist())
+        want = [
+            (k, r.col_start, r.row_start, r.width, r.height, list(r.target))
+            for k, state in enumerate(S.tolist())
+            for r in oracles.empty_rectangles(G, state)
+            if keep(r)
+        ]
+        assert sorted(got) == sorted(want)
+
+
+def _differential_grids():
+    rng = random.Random(3636)
+    grids = [(e.name, e.grid) for e in builtin_entries() if e.grid.n <= 6]
+    sizes = (3, 4, 5, 5, 6, 6)
+    grids += [(f"random{n}-{k}", random_knot(rng, n)) for k, n in enumerate(sizes)]
+    return grids
+
+
+_DIFFERENTIAL_GRIDS = _differential_grids()
+
+
+@pytest.mark.parametrize(
+    "name,G", _DIFFERENTIAL_GRIDS, ids=[name for name, _ in _DIFFERENTIAL_GRIDS]
+)
+def test_differential_matches_reference(name, G):
+    # both flavors, every state, against the rectangle-by-rectangle loop
+    for state in all_states(G.n):
+        for flavor in FLAVORS:
+            assert differential(G, state, flavor) == oracles.differential(G, state, flavor)
 
 
 def test_tilde_differential_drops_maslov_by_one(rng):

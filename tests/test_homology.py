@@ -11,7 +11,6 @@ from gridhfk import (
     GridDiagram,
     NotACycle,
     alexander_polynomial,
-    bigrading,
     class_vanishes,
     differential,
     generating_function_mod2,
@@ -88,29 +87,45 @@ def test_enumerate_fibers_counts(trefoil):
     assert sum(len(codes) for codes, _ in fibers.values()) == 120
 
 
-def test_generators_with_alexander_matches_fibers(trefoil):
-    fibers = enumerate_fibers(trefoil)
-    for a in fibers:
-        direct = generators_with_alexander(trefoil, a)
-        assert len(direct) == len(fibers[a][0])
-        for state in direct:
-            assert bigrading(trefoil, state).A == a
+def test_generators_with_alexander_matches_fibers(trefoil, rng):
+    # the frontier lister against every permutation graded one at a time,
+    # rows in lexicographic order, and empty just outside the A range
+    for G in (trefoil, random_knot(rng, 6)):
+        ref = oracles.fibers(G)
+        for a in range(min(ref) - 1, max(ref) + 2):
+            want = sorted(state for _, state in ref.get(a, []))
+            assert generators_with_alexander(G, a).tolist() == [list(s) for s in want]
 
 
 def test_tilde_targets_agree_with_differential(rng):
-    # the oracle's enumeration loop against the rectangle-based definition
+    # the boundary oracle's loop against the rectangle-based reference
     for _ in range(4):
         G = random_knot(rng, 6)
         o_rows = tuple(r - 1 for r in G.sigma_O)
         x_rows = tuple(r - 1 for r in G.sigma_X)
         for state in itertools.islice(itertools.permutations(range(6)), 60):
             fast = sorted(oracles.tilde_targets(6, o_rows, x_rows, state))
-            slow = sorted(differential(G, state))
+            slow = sorted(oracles.differential(G, state))
             assert fast == slow
 
 
 def _states(codes, n):
     return [tuple(s) for s in _decode(codes, n).tolist()]
+
+
+_FIBER_GRIDS = [(e.name, e.grid) for e in builtin_entries()] + [
+    (f"random{n}", random_knot(random.Random(4040 + n), n)) for n in (3, 4, 5, 6, 7)
+]
+
+
+@pytest.mark.parametrize("name,G", _FIBER_GRIDS, ids=[name for name, _ in _FIBER_GRIDS])
+def test_enumerate_fibers_matches_itertools_reference(name, G):
+    # same fibers in increasing A, each in (M, code) order
+    fibers = enumerate_fibers(G)
+    ref = oracles.fibers(G)
+    assert list(fibers) == list(ref)
+    for a, (codes, M) in fibers.items():
+        assert list(zip(M.tolist(), _states(codes, G.n))) == ref[a]
 
 
 def _index(codes, n):

@@ -14,16 +14,14 @@ from pathlib import Path
 
 from . import corpus
 from .errors import BudgetExceeded, GridError
-from .floer import bigrading
 from .front import classical_invariants, front_projection
 from .grid import format_grid, parse_grid, render_grid, component_count
-from .homology import alexander_polynomial, class_vanishes, format_qt, format_t, tilde_homology
+from .homology import alexander_polynomial, format_qt, format_t, tilde_homology
 from .invariants import (
     kunneth_check,
     lambda_status,
     nonsimplicity_pipeline,
     theta_status,
-    x_plus,
 )
 from .moves import (
     apply_moves,
@@ -94,7 +92,7 @@ def cmd_show(args):
 
 def cmd_homology(args):
     G = _load(args.file)
-    report = tilde_homology(G, force=args.force, workers=args.threads)
+    report = tilde_homology(G, workers=args.threads)
     if args.json:
         print(report.to_json())
         return EXIT_OK
@@ -194,16 +192,16 @@ def _battery_moves(rng, checks):
         )
 
 
-def _battery_kunneth(force, workers, checks):
+def _battery_kunneth(large, workers, checks):
     U_o = corpus.get("unknot").grid
     U_x = corpus.get("unknot-corner-x").grid
     T_o = corpus.get("trefoil").grid
     T_x = corpus.get("trefoil-corner-x").grid
     pairs = [("unknot#unknot", U_x, U_o), ("trefoil#unknot", T_x, U_o)]
-    if force:
+    if large:
         pairs.append(("trefoil#trefoil", T_x, T_o))
     for name, G1, G2 in pairs:
-        report = kunneth_check(G1, G2, force=force, workers=workers)
+        report = kunneth_check(G1, G2, workers=workers)
         checks.append((f"kunneth: {name} hat table = tensor product", report.hat_match))
         checks.append((f"kunneth: {name} x+ bigradings add", report.bigrading_additive))
         checks.append((f"kunneth: {name} vanishing product rule", report.vanishing_rule_holds))
@@ -258,7 +256,6 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--flavor", choices=("tilde", "hat"), default="tilde")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--force", action="store_true", help="override the size budget")
     p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_homology)
 

@@ -51,7 +51,7 @@ class PreimageMismatch(GridError):
 
 
 class BudgetExceeded(GridError):
-    """Estimated slice size exceeds the configured generator budget."""
+    """A generator slice would exceed the configured generator budget."""
 
 
 class DivisionInexact(GridError):

@@ -33,6 +33,7 @@ from .grid import component_count
 from .linalg import SparseF2Matrix, f2_solve, rank_from_entries
 
 DEFAULT_MAX_SLICE = 5_000_000
+MINUS0_CAP = 2  # total U-degree searched by the bounded minus0 verdict
 
 
 def max_slice_budget():
@@ -41,20 +42,6 @@ def max_slice_budget():
     if not raw.isdecimal() or int(raw) == 0:
         raise ConfigError(f"GRIDHFK_MAX_SLICE must be a positive integer, got {raw!r}")
     return int(raw)
-
-
-def estimated_max_slice(n):
-    """Crude upper estimate of the largest (M, A) slice of an n x n grid."""
-    return factorial(n) // (2 * n)
-
-
-def check_budget(G, force=False):
-    cap = max_slice_budget()
-    est = estimated_max_slice(G.n)
-    if est > cap and not force:
-        raise BudgetExceeded(
-            f"estimated slice size {est} exceeds budget {cap} for n={G.n}"
-        )
 
 
 # -- generators ----------------------------------------------------------------
@@ -76,14 +63,23 @@ def enumerate_fibers(G):
 
     Lists each fiber the grid's weight table allows with
     ``generators_with_alexander``, so each is held to the slice budget.
+    Before listing any, refuses a grid whose n! generators cannot fit in its
+    Alexander range under the budget: then some fiber must exceed it.
     Returns {A: (codes, M)} in increasing A, with codes the byte codes of the
     generators and M the matching Maslov gradings; entries sorted by
     (M, code) for determinism.
     """
     t = grading_tables(G)
     shift = t.weight_base + t.JOO - t.JXX - (G.n - 1)  # doubled A of weight 0
+    span = range((shift + 1) // 2, (shift + t.weight_span + 1) // 2)
+    cap = max_slice_budget()
+    if len(span) and factorial(G.n) > cap * len(span):
+        raise BudgetExceeded(
+            f"{factorial(G.n)} generators over {len(span)} Alexander fibers for n={G.n}:"
+            f" some fiber exceeds budget {cap}"
+        )
     fibers = {}
-    for a in range((shift + 1) // 2, (shift + t.weight_span + 1) // 2):
+    for a in span:
         P = generators_with_alexander(G, a)
         if len(P):
             M, _ = grade_array(G, P)
@@ -345,7 +341,7 @@ class HomologyReport:
         )
 
 
-def tilde_homology(G, force=False, workers=None):
+def tilde_homology(G, workers=None):
     """Full bigraded tilde homology plus the derived hat/Alexander data.
 
     Alexander fibers are independent; with ``workers`` > 1 they are reduced
@@ -354,7 +350,6 @@ def tilde_homology(G, force=False, workers=None):
     """
     if component_count(G) != 1:
         raise MultiComponent("homology requires a single-component grid")
-    check_budget(G, force=force)
     fibers = enumerate_fibers(G)
     ranks = {}
     gen_counts = {}
@@ -391,14 +386,14 @@ def _check_cycle(G, chain, flavor):
         raise NotACycle(f"chain has nonzero {flavor} differential")
 
 
-def class_vanishes(G, chain, flavor="tilde", cap=2):
+def class_vanishes(G, chain, flavor="tilde"):
     """Vanishing verdict for the homology class of an F2 cycle.
 
     tilde: exact.  Builds the incoming boundary block of the cycle's slice
     and solves for a preimage; returns "Vanishes" or "Survives".
 
     minus0: bounded.  Searches preimages with U-monomials of total degree at
-    most ``cap``; returns "Vanishes" (definitive) or "NoPreimageUpToCap".
+    most ``MINUS0_CAP``; returns "Vanishes" (definitive) or "NoPreimageUpToCap".
     """
     if flavor not in FLAVORS:
         raise OutOfRange(f"unknown flavor {flavor!r}")
@@ -412,7 +407,7 @@ def class_vanishes(G, chain, flavor="tilde", cap=2):
     _check_cycle(G, chain, flavor)
     if flavor == "tilde":
         return _tilde_vanishes(G, chain, bg)
-    return _minus0_vanishes(G, chain, bg, cap)
+    return _minus0_vanishes(G, chain, bg)
 
 
 def _tilde_vanishes(G, chain, bg):
@@ -432,11 +427,11 @@ def _tilde_vanishes(G, chain, bg):
     return "Vanishes" if f2_solve(matrix, b) is not None else "Survives"
 
 
-def _minus0_vanishes(G, chain, bg, cap):
+def _minus0_vanishes(G, chain, bg):
     # Unknowns: (generator y, U-monomial m) with A(y) = A + deg(m),
     # M(y) = M + 1 + 2 deg(m); equations indexed by (generator, monomial).
     unknowns = []
-    for d in range(cap + 1):
+    for d in range(MINUS0_CAP + 1):
         fiber = generators_with_alexander(G, bg.A + d)
         M, _ = grade_array(G, fiber)
         for s in map(tuple, fiber[M == bg.M + 1 + 2 * d].tolist()):

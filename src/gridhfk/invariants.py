@@ -56,14 +56,14 @@ class InvariantStatus:
         )
 
 
-def lambda_status(G, sign="+", corroborate=False, cap=2):
+def lambda_status(G, sign="+", corroborate=False):
     """Bigrading and vanishing status of the lambda invariant cycle."""
     cycle = x_plus(G) if sign == "+" else x_minus(G)
     bg = bigrading(G, cycle)
     verdict = class_vanishes(G, [cycle], flavor="tilde")
     corr = "NotRun"
     if corroborate:
-        corr = class_vanishes(G, [cycle], flavor="minus0", cap=cap)
+        corr = class_vanishes(G, [cycle], flavor="minus0")
     return InvariantStatus(
         sign=sign,
         cycle=cycle,
@@ -73,13 +73,13 @@ def lambda_status(G, sign="+", corroborate=False, cap=2):
     )
 
 
-def theta_status(G, corroborate=False, cap=2):
+def theta_status(G, corroborate=False):
     """Transverse invariant: lambda_+ of the grid, read transversely.
 
     The grid is a Legendrian approximation of its positive transverse push
     off, so the same cycle represents the transverse class.
     """
-    return lambda_status(G, sign="+", corroborate=corroborate, cap=cap)
+    return lambda_status(G, sign="+", corroborate=corroborate)
 
 
 # -- connected-sum verification -------------------------------------------------
@@ -124,7 +124,7 @@ class KunnethReport:
         )
 
 
-def kunneth_check(G1, G2, force=False, workers=None):
+def kunneth_check(G1, G2, workers=None):
     """Numerical shadow of the connected-sum formula.
 
     Checks (a) the hat rank table of G1 # G2 against the bigraded tensor
@@ -132,9 +132,9 @@ def kunneth_check(G1, G2, force=False, workers=None):
     zero global shift, (c) the product rule for hat-vanishing of x+.
     """
     Gsum = connect_sum(G1, G2)
-    rep1 = tilde_homology(G1, force=force, workers=workers)
-    rep2 = tilde_homology(G2, force=force, workers=workers)
-    repsum = tilde_homology(Gsum, force=force, workers=workers)
+    rep1 = tilde_homology(G1, workers=workers)
+    rep2 = tilde_homology(G2, workers=workers)
+    repsum = tilde_homology(Gsum, workers=workers)
     tensor = tensor_table(rep1.hat_poincare, rep2.hat_poincare)
     bg1 = bigrading(G1, x_plus(G1))
     bg2 = bigrading(G2, x_plus(G2))

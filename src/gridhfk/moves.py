@@ -11,7 +11,6 @@ down by the grading test batteries.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 
@@ -458,19 +457,18 @@ def legal_destabilizations(G, types=STAB_TYPES):
     return found
 
 
-def random_move_sequence(G, length, rng=None, stab_types=_LEGENDRIAN_STABS, max_n=8):
-    """Random legal move sequence drawn from the given stabilization types.
+def random_move_sequence(G, length, rng):
+    """Random legal move sequence drawn with ``rng`` from the Legendrian types.
 
     Cyclic moves and commutations are always candidates; stabilizations only
-    while the grid stays within ``max_n``, destabilizations whenever a
+    while the grid is smaller than 8 x 8, destabilizations whenever a
     matching block exists.  Returns (moves, final_grid).
     """
-    rng = rng or random.Random()
-    stab_types = sorted(stab_types)
+    stab_types = sorted(_LEGENDRIAN_STABS)
     moves = []
     for _ in range(length):
         options = ["cycR", "cycC", "commR", "commC"]
-        if G.n < max_n and stab_types:
+        if G.n < 8:
             options += ["stab", "stab"]
         destabs = legal_destabilizations(G, stab_types) if G.n > 2 else []
         if destabs:

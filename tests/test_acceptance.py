@@ -131,7 +131,6 @@ def test_criterion_5_kunneth_connected_sum():
         rep = kunneth_check(
             get("trefoil-corner-x").grid,
             get("trefoil").grid,
-            force=True,
             workers=min(4, os.cpu_count() or 1),
         )
         assert rep.hat_match and rep.bigrading_additive and rep.vanishing_rule_holds

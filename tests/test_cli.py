@@ -77,6 +77,12 @@ def test_homology_budget_exit(tmp_path, capsys):
     assert "budget" in err
 
 
+def test_homology_has_no_force_flag(grid_dir, capsys):
+    code, _, err = run(capsys, "homology", "--force", str(grid_dir / "trefoil.grid"))
+    assert code == 1
+    assert "unrecognized arguments: --force" in err
+
+
 def test_invariant_theta(grid_dir, capsys):
     code, out, _ = run(capsys, "invariant", "--theta", str(grid_dir / "trefoil.grid"))
     assert code == 0

@@ -35,6 +35,25 @@ def test_no_asserts_in_library():
         assert not asserts, f"{path.name} asserts at lines {asserts}"
 
 
+def test_no_unused_imports_in_library():
+    # __init__.py imports names only to re-export them
+    for path in sorted(Path(gridhfk.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = sorted((line, name) for name, line in imported.items() if name not in used)
+        assert not unused, f"{path.name} imports unused names {unused}"
+
+
 def test_determinant_rejects_ragged_matrix():
     with pytest.raises(DimensionMismatch):
         f2poly.determinant([[1, 0], [1]])

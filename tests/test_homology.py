@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 
 import numpy as np
 import pytest
@@ -18,13 +19,12 @@ from gridhfk import (
     tilde_homology,
     x_plus,
 )
-from gridhfk import f2poly
+from gridhfk import f2poly, homology
 from gridhfk.corpus import builtin_entries
 from gridhfk.homology import (
     _decode,
     _encode,
     enumerate_fibers,
-    estimated_max_slice,
     format_qt,
     format_t,
     hat_from_tilde,
@@ -253,11 +253,42 @@ def test_format_helpers():
     assert format_t(set()) == "0"
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
+    # 12! = 479,001,600 generators over 12 Alexander fibers: under a budget
+    # below 12!/12 some fiber must exceed it, so the grid is refused before
+    # any fiber is listed
     G = GridDiagram(12, tuple(range(1, 13)), tuple(i % 12 + 1 for i in range(1, 13)))
-    assert estimated_max_slice(12) > 5_000_000
-    with pytest.raises(BudgetExceeded):
+
+    class Listed(Exception):
+        pass
+
+    def lister(G, A):
+        raise Listed(A)
+
+    monkeypatch.setattr(homology, "generators_with_alexander", lister)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="12 Alexander fibers"):
         tilde_homology(G)
+    assert time.perf_counter() - start < 1.0
+    monkeypatch.setenv("GRIDHFK_MAX_SLICE", str(39_916_800 - 1))
+    with pytest.raises(BudgetExceeded, match="12 Alexander fibers"):
+        tilde_homology(G)
+    monkeypatch.setenv("GRIDHFK_MAX_SLICE", str(39_916_800))
+    with pytest.raises(Listed):
+        tilde_homology(G)
+
+
+def test_budget_refuses_exactly_the_largest_fiber(monkeypatch, figure_eight, cinquefoil):
+    rng = random.Random(6767)
+    for G in [figure_eight, cinquefoil] + [random_knot(rng, n) for n in (6, 6, 7, 7)]:
+        largest = max(len(fiber) for fiber in oracles.fibers(G).values())
+        monkeypatch.delenv("GRIDHFK_MAX_SLICE", raising=False)
+        report = tilde_homology(G)
+        monkeypatch.setenv("GRIDHFK_MAX_SLICE", str(largest))
+        assert tilde_homology(G) == report
+        monkeypatch.setenv("GRIDHFK_MAX_SLICE", str(largest - 1))
+        with pytest.raises(BudgetExceeded, match=f"budget {largest - 1}$"):
+            tilde_homology(G)
 
 
 def test_class_vanishes_rejects_non_cycle(trefoil):

@@ -136,6 +136,21 @@ def bigrading(G, state):
     return Bigrading(M=int(M[0]), A=int(A[0]))
 
 
+@lru_cache(maxsize=None)
+def _rectangle_layout(n):
+    """Index tables of ``rectangles`` on an n x n grid, over the pairs
+    (i, w) of a left column and a width 1..n-1 in row-major order: the
+    right column's line of each pair, the pair's offset into a flattened
+    gap table, and i, w and the right column j per pair.  The offsets take
+    the narrowest type that holds n^3, so the gather's index stays small."""
+    i, w = np.divmod(np.arange(n * (n - 1)), n - 1)
+    w += 1
+    j = (i + w) % n
+    shape = (n, n - 1)
+    where = ((i * n + w) * n).astype(np.int16 if n**3 < 2**15 else np.int32)
+    return j.reshape(shape), where.reshape(shape + (1,)), i, w, j
+
+
 def rectangles(G, S, gap):
     """Every rectangle leaving the states in the rows of ``S`` whose interior
     misses the points of its source and every marker ``gap`` counts.
@@ -145,24 +160,36 @@ def rectangles(G, S, gap):
     rectangle with its lower-left corner on column i and its upper-right on
     column j; the pair (j, i) gives the complementary one.  It is empty iff
     its height stays below the upward row distance of every interior point (a
-    running minimum over the width) and the marker gap.  Returns, per
-    rectangle, the index of its source in ``S``, its left column, width and
-    height, and the (N' x n) array of its targets.
+    running minimum over the width) and the marker gap.  The tables are laid
+    out [column, width, state], so every array operation runs along the
+    states.  Returns, per rectangle, the index of its source in ``S``, its
+    left column, width and height, and the (N' x n) array of its targets.
     """
     n = G.n
+    right, where, pair_i, pair_w, pair_j = _rectangle_layout(n)
     S = np.asarray(S, dtype=np.int8).reshape(-1, n)
-    lines = np.arange(n)
-    D = (S[:, (lines[:, None] + lines) % n] - S[:, :, None]) % n  # [x, i, w]
-    inner = np.minimum.accumulate(D[:, :, 1:-1], axis=2)
-    inner = np.concatenate([np.full(D.shape[:2] + (1,), n, dtype=np.int8), inner], axis=2)
-    g = gap[lines[:, None], lines[1:], S[:, :, None]]
-    x, i, w = np.nonzero(np.minimum(inner, g) >= D[:, :, 1:])
-    w += 1
-    j = (i + w) % n
+    P = np.ascontiguousarray(S.T)
+    D = P[right] - P[:, None]  # [i, w - 1, x]: the height at width w
+    D += (D < 0) * np.int8(n)
+    g = gap.ravel()[where + P[:, None]]  # gap[i, w, P[i, x]]
+    low = D[:, :-1].copy()  # running minimum over the interior columns, by doubling
+    step = 1
+    while step < n - 2:
+        low[:, step:] = np.minimum(low[:, step:], low[:, :-step])
+        step *= 2
+    np.minimum(g[:, 1:], low, out=g[:, 1:])
+    flat = np.flatnonzero(g >= D)
+    h = D.reshape(-1)[flat]
+    pair, x = np.divmod(flat, len(S))
+    del flat, D, g  # the tables are done with; free them before the targets are built
     T = S[x]
-    k = np.arange(len(x))
-    T[k, i], T[k, j] = S[x, j], S[x, i]
-    return x, i, w, D[x, i, w], T
+    a = np.arange(0, len(x) * n, n)  # the swapped entries, in T.ravel()
+    b = a + pair_j[pair]
+    i = pair_i[pair]
+    a += i
+    Tf = T.reshape(-1)
+    Tf[a], Tf[b] = Tf[b], Tf[a]
+    return x, i, pair_w[pair], h, T
 
 
 def differential(G, state, flavor="tilde"):

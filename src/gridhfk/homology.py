@@ -3,11 +3,15 @@
 The tilde complex over all n! generators is processed one Alexander grading
 at a time: the differential preserves A, so each fiber is an independent
 chain complex graded by Maslov degree.  ``slice_boundary`` builds each
-boundary block between adjacent Maslov slices in one vectorized pass; the
-homology ranks and the vanishing verdicts share it.  Hat-flavor data is
-recovered by exact division of the tilde Poincare polynomial by
-(1 + q^-1 t^-1)^(n-1); inexact division is a hard failure, never papered
-over.
+boundary block between adjacent Maslov slices in one vectorized pass for
+the homology ranks.  Hat-flavor data is recovered by exact division of the
+tilde Poincare polynomial by (1 + q^-1 t^-1)^(n-1); inexact division is a
+hard failure, never papered over.
+
+A tilde vanishing verdict lists no fiber: it solves dz = cycle on the
+cycle's own connected component of the boundary between two slices, grown
+from the cycle with the rectangles into it (``incoming``) and out of what
+it reaches, and is exact when a preimage checks or the component closes.
 
 The Alexander polynomial comes from a different route entirely: mod 2 the
 generating function sum_x T^A(x) is the determinant of the matrix of
@@ -21,6 +25,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -29,11 +34,12 @@ from . import f2poly
 from .errors import AsymmetricResult, BudgetExceeded, ConfigError, DivisionInexact
 from .errors import MultiComponent, NotACycle, OutOfRange
 from .floer import FLAVORS, bigrading, differential, grade_array, grading_tables, rectangles
-from .grid import component_count
-from .linalg import SparseF2Matrix, f2_solve, rank_from_entries
+from .grid import GridDiagram, component_count
+from .linalg import ColumnSpan, SparseF2Matrix, f2_solve, rank_from_entries
 
 DEFAULT_MAX_SLICE = 5_000_000
 MINUS0_CAP = 2  # total U-degree searched by the bounded minus0 verdict
+SOLVE_BYTES = 200  # bitset bytes a verdict's reduction may hold per budgeted generator
 
 
 def max_slice_budget():
@@ -97,17 +103,20 @@ def generators_with_alexander(G, A):
     once.  A partial state survives only if its unused rows can still fill
     the remaining columns with the missing weight (an exact test, from the
     grid's reach table), so every frontier is at most the size of the fiber.
-    The reach table, and then each column's frontier, is checked against
-    the slice budget before it is allocated: a fiber over budget fails fast
-    instead of being listed.  Rows come out in lexicographic order.
+    Each column's frontier is checked against the slice budget before it is
+    allocated: a fiber over budget fails fast instead of being listed.  The
+    reach table is refused first if it exceeds max(budget, default budget)
+    x n bytes, which no table for n <= 16 comes near, so below that size
+    only the fiber decides.  Rows come out in lexicographic order.
     """
     n = G.n
     t = grading_tables(G)
     cap = max_slice_budget()
     table = (1 << n) * t.weight_span
-    if table > cap * n:
+    if table > max(cap, DEFAULT_MAX_SLICE) * n:
         raise BudgetExceeded(
-            f"fiber search table of {table} bytes for n={n} exceeds budget {cap} x {n} bytes"
+            f"fiber search table of {table} bytes for n={n} exceeds"
+            f" {max(cap, DEFAULT_MAX_SLICE)} x {n} bytes"
         )
     need = 2 * A - (t.JOO - t.JXX - (n - 1)) - t.weight_base  # weight still missing
     reach = t.fiber_reach
@@ -389,8 +398,9 @@ def _check_cycle(G, chain, flavor):
 def class_vanishes(G, chain, flavor="tilde"):
     """Vanishing verdict for the homology class of an F2 cycle.
 
-    tilde: exact.  Builds the incoming boundary block of the cycle's slice
-    and solves for a preimage; returns "Vanishes" or "Survives".
+    tilde: exact.  Solves for a preimage on the cycle's component of the
+    boundary into its slice (see ``_tilde_vanishes``); returns "Vanishes"
+    or "Survives".
 
     minus0: bounded.  Searches preimages with U-monomials of total degree at
     most ``MINUS0_CAP``; returns "Vanishes" (definitive) or "NoPreimageUpToCap".
@@ -410,21 +420,120 @@ def class_vanishes(G, chain, flavor="tilde"):
     return _minus0_vanishes(G, chain, bg)
 
 
+@lru_cache(maxsize=128)
+def _reflected(G):
+    """G reflected top to bottom about the line at height (n - 1) / 2: line
+    j goes to n - 1 - j, so the row r cell (heights r - 1 to r) goes to the
+    row n - r cell, and row n to itself."""
+    n = G.n
+    return GridDiagram(n, *(tuple((n - 1 - r) % n + 1 for r in s) for s in (G.sigma_O, G.sigma_X)))
+
+
+def incoming(G, S):
+    """Every rectangle the tilde differential counts into the states in the
+    rows of ``S``: those from a y to a state x of S that are empty and miss
+    every marker.
+
+    Reflecting the torus top to bottom swaps the lower and upper corners of
+    each rectangle and keeps its columns, so one from y to x with left
+    column i and width w becomes one from x' to y' with the same columns,
+    interior points and markers, and ``rectangles`` lists those on the
+    reflected grid.  Returns, per rectangle, the index of x in ``S``, i, w
+    and the (N' x n) array of the y; ``rectangles`` lists the same one from
+    y with the same i and w.
+    """
+    R = _reflected(G)
+    x, i, w, _, Y = rectangles(R, G.n - 1 - np.asarray(S, dtype=np.int8), grading_tables(R).gap)
+    return x, i, w, G.n - 1 - Y
+
+
+def _find(sorted_keys, keys):
+    """Insertion positions of ``keys`` in ``sorted_keys``, and whether each
+    is there."""
+    pos = np.searchsorted(sorted_keys, keys)
+    found = pos < len(sorted_keys)
+    found[found] = sorted_keys[pos[found]] == keys[found]
+    return pos, found
+
+
 def _tilde_vanishes(G, chain, bg):
-    fiber = generators_with_alexander(G, bg.A)
-    M, _ = grade_array(G, fiber)
-    codes = _encode(fiber)
-    slice_lo = codes[M == bg.M]  # sorted, as the fiber's rows are
-    slice_hi = codes[M == bg.M + 1]
-    chain_codes = _encode(np.array(chain))
-    rows = np.searchsorted(slice_lo, chain_codes)
-    if rows.max() >= len(slice_lo) or (slice_lo[rows] != chain_codes).any():
-        raise NotACycle("cycle outside its own slice")
-    if not len(slice_hi):
-        return "Survives"
-    matrix = SparseF2Matrix(len(slice_lo), len(slice_hi), slice_boundary(G, slice_hi, slice_lo))
-    b = np.bincount(rows, minlength=len(slice_lo)) % 2
-    return "Vanishes" if f2_solve(matrix, b) is not None else "Survives"
+    """Exact tilde verdict, solved on the chain's own component.
+
+    The boundary from slice (M+1, A) to the chain's slice (M, A) splits
+    along the connected components of its bipartite graph, with an edge for
+    each empty marker-free rectangle, and so does the equation dz = chain.
+    The component is grown breadth first from the chain's rows.  Each round
+    takes the rows first reached in the round before, adds the sources of
+    the rectangles into them as columns (``incoming``), adds those columns'
+    whole boundaries as rows, and reduces the new columns into the tagged
+    pivots of the old ones (``ColumnSpan``).  A preimage found then has its
+    whole boundary among the rows: "Vanishes", after a product check.  A
+    round that adds no column has closed the component, and any preimage
+    restricted to it would still be one: "Survives".  The slice budget caps
+    the component's rows and columns before each round's arrays are built,
+    and the bitsets of its reduction, rank x (rows + columns) bits at most,
+    to ``SOLVE_BYTES`` bytes per budgeted generator before each reduction.
+
+    Breadth first, each round meets only its own rows and columns and the
+    round before's.  A column first reached in round k has its whole
+    boundary among the rows by the end of round k.  So the rectangles into
+    the rows first reached in round k come from columns of round k, which
+    found them going out, or of round k + 1; and the rectangles out of a
+    column of round k + 1 end in rows of round k, which found them coming
+    in, or in new rows.  A rectangle is known by either end, its left
+    column and its width, so these are matched by integer keys, and only
+    the rectangles to new generators are compared state by state.
+    """
+    n = G.n
+    cap = max_slice_budget()
+    gap = grading_tables(G).gap
+
+    def key(k, i, w):  # a rectangle, by the index k of one end, its left column and width
+        return (k * n + i) * n + w
+
+    codes, counts = np.unique(_encode(np.array(chain)), return_counts=True)
+    frontier = codes[counts % 2 == 1]  # codes of the rows first reached last round
+    first = 0  # the number of the row frontier[0]; rows are numbered as reached
+    back = np.zeros(0, dtype=np.int64)  # sorted keys of last round's rectangles into them
+    span = ColumnSpan(np.arange(len(frontier)))
+    while span.preimage() is None:
+        if not len(frontier):
+            return "Survives"
+        if span.rows > cap:
+            raise BudgetExceeded(
+                f"slice (M={bg.M}, A={bg.A}): {span.rows} generators of the cycle's"
+                f" component exceed budget {cap}"
+            )
+        x, i, w, Y = incoming(G, _decode(frontier, n))
+        new = ~_find(back, key(x, i, w))[1]
+        cols, col = np.unique(_encode(Y[new]), return_inverse=True)
+        if not len(cols):
+            return "Survives"
+        if span.cols + len(cols) > cap:
+            raise BudgetExceeded(
+                f"slice (M={bg.M + 1}, A={bg.A}): {span.cols + len(cols)} generators of the"
+                f" cycle's component exceed budget {cap}"
+            )
+        into = key(col, i[new], w[new])
+        order = np.argsort(into)
+        into, x = into[order], x[new][order]
+        src, i, w, _, T = rectangles(G, _decode(cols, n), gap)
+        at, old = _find(into, key(src, i, w))
+        fresh = ~old
+        frontier, row = np.unique(_encode(T[fresh]), return_inverse=True)
+        ids = np.empty(len(src), dtype=np.int64)
+        ids[old] = first + x[at[old]]
+        ids[fresh] = span.rows + row
+        first, back = span.rows, np.sort(key(row, i[fresh], w[fresh]))
+        rows, width = first + len(frontier), span.cols + len(cols)
+        if (span.rank + len(cols)) * (rows + width) > 8 * SOLVE_BYTES * cap:
+            raise BudgetExceeded(
+                f"slice (M={bg.M}, A={bg.A}): reducing the cycle's component of {rows} x"
+                f" {width} generators may take {(span.rank + len(cols)) * (rows + width) // 8}"
+                f" bytes of bitsets, over budget {cap} x {SOLVE_BYTES} bytes"
+            )
+        span.add(rows, len(cols), np.stack([ids, src], axis=1))
+    return "Vanishes"
 
 
 def _minus0_vanishes(G, chain, bg):

@@ -2,8 +2,10 @@
 
 x+(G) sits at the upper-right corners of the X cells, x-(G) at the lower
 left; both are cycles in every flavor of the differential.  Vanishing
-verdicts are computed in the fully blocked complex (reports say so), with
-the bounded minus0 search available as corroboration.
+verdicts are computed in the fully blocked complex (reports say so), on the
+cycle's own component of the boundary into its slice, so they need no
+Alexander fiber listed; the bounded minus0 search is available as
+corroboration.
 """
 
 from __future__ import annotations

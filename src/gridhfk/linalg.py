@@ -3,6 +3,8 @@
 Matrices are (row, col) positions, given as pairs or as an (nnz x 2) array;
 rank and solve reduce the columns, as Python-int bitsets over rows (xor at C
 speed), left to right against the pivots so far, keyed by their top bit.
+``ColumnSpan`` keeps those pivots between batches of columns, so a solve can
+grow its matrix until the right-hand side lies in its span.
 """
 
 from __future__ import annotations
@@ -46,16 +48,17 @@ def _distinct(entries):
 
 
 def _columns(e):
-    """Yield (col, bitset) for each nonempty column of ``_distinct`` output,
-    bit r set for each of its rows.  Columns are built as the reduction asks
-    for them, so one that reduces to zero is freed at once."""
+    """Yield (col, bitset) for each nonzero column of (row, col) positions
+    grouped by column, as ``_distinct`` gives them, bit r flipped for each
+    listing of row r.  Columns are built as the reduction asks for them, so
+    one that reduces to zero is freed at once."""
     col, v = None, 0
     for r, c in zip(*e.T.tolist()):
         if c != col:
             if v:
                 yield col, v
             col, v = c, 0
-        v |= 1 << r
+        v ^= 1 << r
     if v:
         yield col, v
 
@@ -68,16 +71,33 @@ def _reduce(v, tag, pivots):
     return v, tag
 
 
-def _pivots(columns, tagged):
-    """Column reduction of (col, bitset) pairs, left to right, to {top bit:
-    (reduced column, tag)}, whose length is the rank.  A ``tagged`` column
-    starts with tag 1 << col, so a tag marks the columns summed into it."""
-    pivots = {}
+def _extend(pivots, columns, tagged):
+    """Column reduction of (col, bitset) pairs, left to right, into
+    ``pivots`` ({top bit: (reduced column, tag)}), in place.  A ``tagged``
+    column starts with tag 1 << col, so a tag marks the columns summed into
+    it."""
     for c, v in columns:
         v, tag = _reduce(v, 1 << c if tagged else 0, pivots)
         if v:
             pivots[v.bit_length()] = (v, tag)
     return pivots
+
+
+def _pivots(columns, tagged):
+    """``_extend`` from no pivots; the result's length is the rank."""
+    return _extend({}, columns, tagged)
+
+
+def _bits(tag, cols):
+    """The 0/1 uint8 array of the low ``cols`` bits of a tag."""
+    x = np.frombuffer(tag.to_bytes((cols + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(x, count=cols, bitorder="little")
+
+
+def _check_preimage(e, x, b):
+    """Raise unless the columns of ``e`` that ``x`` selects sum to ``b``."""
+    if (np.bincount(e[x[e[:, 1]] == 1, 0], minlength=len(b)) & 1 != b).any():
+        raise PreimageMismatch("column reduction returned x with matrix @ x != b")
 
 
 def f2_rank(matrix):
@@ -105,8 +125,57 @@ def f2_solve(matrix, b):
     rest, tag = _reduce(rhs, 0, _pivots(_columns(e), tagged=True))
     if rest:
         return None
-    x = np.frombuffer(tag.to_bytes((matrix.cols + 7) // 8, "little"), dtype=np.uint8)
-    x = np.unpackbits(x, count=matrix.cols, bitorder="little")
-    if (np.bincount(e[x[e[:, 1]] == 1, 0], minlength=matrix.rows) & 1 != b).any():
-        raise PreimageMismatch("column reduction returned x with matrix @ x != b")
+    x = _bits(tag, matrix.cols)
+    _check_preimage(e, x, b)
     return x.tolist()
+
+
+class ColumnSpan:
+    """Solve A z = b over F2 while the columns of A arrive in batches.
+
+    ``b`` is given by the distinct rows where it is 1.  Columns are numbered
+    in the order they are added, and each batch is reduced into the tagged
+    pivots of the columns before it, with b's residue kept against them, so
+    a batch costs the reduction of its own columns only.  A later batch may
+    reach rows no earlier column has.
+    """
+
+    def __init__(self, b_rows):
+        self._b_rows = np.asarray(b_rows, dtype=np.int64)
+        self.rows = int(self._b_rows.max()) + 1 if len(self._b_rows) else 0
+        self.cols = 0
+        self._rest = sum(1 << r for r in self._b_rows.tolist())
+        self._tag = 0
+        self._pivots = {}
+        self._blocks = [np.zeros((0, 2), dtype=np.int64)]
+
+    @property
+    def rank(self):
+        return len(self._pivots)
+
+    def add(self, rows, cols, entries):
+        """Append ``cols`` columns, numbered from the columns so far, and
+        grow to ``rows`` rows.  ``entries`` are their (row, col) positions,
+        with columns counted from 0 in the batch; as in a sum over F2, a
+        position listed twice cancels.  Returns whether b now lies in the
+        span."""
+        e = _as_array(entries)
+        if len(e) and (e.min() < 0 or e[:, 0].max() >= rows or e[:, 1].max() >= cols):
+            raise DimensionMismatch(f"an entry lies outside {rows}x{cols}")
+        e = e[np.argsort(e[:, 1], kind="stable")] + (0, self.cols)
+        self.rows, self.cols = max(self.rows, rows), self.cols + cols
+        self._blocks.append(e)
+        _extend(self._pivots, _columns(e), tagged=True)
+        self._rest, self._tag = _reduce(self._rest, self._tag, self._pivots)
+        return not self._rest
+
+    def preimage(self):
+        """The 0/1 array z over the columns so far with A z = b, checked by a
+        matrix product, or None while b lies outside their span."""
+        if self._rest:
+            return None
+        z = _bits(self._tag, self.cols)
+        b = np.zeros(self.rows, dtype=np.int64)
+        b[self._b_rows] = 1
+        _check_preimage(np.concatenate(self._blocks), z, b)
+        return z

@@ -90,6 +90,40 @@ def test_invariant_theta(grid_dir, capsys):
     assert data["verdict"] == "Survives" and data["bigrading"] == [2, 1]
 
 
+# x+ and x- share their bigrading on every corpus grid, and their verdict
+_INVARIANT_STATUS = {
+    "unknot": (0, 0, "Survives"),
+    "unknot-corner-x": (0, 0, "Survives"),
+    "trefoil": (2, 1, "Survives"),
+    "trefoil-corner-x": (2, 1, "Survives"),
+    "figure-eight": (-2, -1, "Vanishes"),
+    "cinquefoil": (4, 2, "Survives"),
+}
+_INVARIANT_LINE = (
+    '{{"bigrading": [{}, {}], "flavor_note": "via fully blocked complex",'
+    ' "minus_corroboration": "{}", "sign": "{}", "verdict": "{}"}}\n'
+)
+
+
+@pytest.mark.parametrize("name", sorted(_INVARIANT_STATUS))
+def test_invariant_output_is_pinned(grid_dir, capsys, name):
+    # the whole JSON line, byte for byte, for each sign with and without
+    # --theta (which always reads x+) and the bounded minus0 search
+    m, a, verdict = _INVARIANT_STATUS[name]
+    cases = [
+        ([], "+", "NotRun"),
+        (["--sign", "-"], "-", "NotRun"),
+        (["--theta"], "+", "NotRun"),
+        (["--theta", "--sign", "-"], "+", "NotRun"),
+        (["--corroborate"], "+", "NoPreimageUpToCap"),
+        (["--sign", "-", "--corroborate"], "-", "NoPreimageUpToCap"),
+    ]
+    for flags, sign, corroboration in cases:
+        code, out, err = run(capsys, "invariant", *flags, str(grid_dir / f"{name}.grid"))
+        assert (code, err) == (0, "")
+        assert out == _INVARIANT_LINE.format(m, a, corroboration, sign, verdict)
+
+
 def test_moves_roundtrip(grid_dir, tmp_path, capsys):
     script = tmp_path / "script.txt"
     script.write_text("cycR 1\ncycC 2\n")

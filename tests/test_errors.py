@@ -84,15 +84,36 @@ def test_cli_bad_max_slice_exits_cleanly(monkeypatch, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1 and "GRIDHFK_MAX_SLICE" in err
 
 
-def test_small_budget_stops_large_fiber_early(monkeypatch):
+def test_small_budget_verdict_on_large_fiber(monkeypatch):
     # the x+ fiber of this 11x11 knot holds over a million generators; the
-    # frontier exceeds the budget long before it is listed
+    # verdict never lists it, so a budget far below it still gets an answer
     G = random_knot(random.Random(11), 11)
     monkeypatch.setenv("GRIDHFK_MAX_SLICE", "20000")
     start = time.perf_counter()
-    with pytest.raises(BudgetExceeded, match="partial generators .* budget 20000"):
+    assert class_vanishes(G, [x_plus(G)]) == "Vanishes"
+    assert time.perf_counter() - start < 1.0
+
+
+def test_small_budget_stops_large_component_early(monkeypatch):
+    # x+ of this 10x10 knot survives on a component of about 3,500 x 2,400
+    # generators; it is refused as it grows past the budget, not after
+    G = random_knot(random.Random(5), 10)
+    monkeypatch.setenv("GRIDHFK_MAX_SLICE", "1000")
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="component .* budget 1000"):
         class_vanishes(G, [x_plus(G)])
     assert time.perf_counter() - start < 1.0
+
+
+def test_reduction_bitsets_are_held_to_the_budget(monkeypatch):
+    # the same component fits 4,000 generators a side, but its reduction
+    # may hold up to about 2.6 MB of bitsets, over 4,000 x 200 bytes
+    G = random_knot(random.Random(5), 10)
+    monkeypatch.setenv("GRIDHFK_MAX_SLICE", "4000")
+    with pytest.raises(BudgetExceeded, match="bytes of bitsets, over budget 4000 x 200 bytes"):
+        class_vanishes(G, [x_plus(G)])
+    monkeypatch.setenv("GRIDHFK_MAX_SLICE", "20000")
+    assert class_vanishes(G, [x_plus(G)]) == "Survives"
 
 
 def test_fiber_table_over_budget_is_refused():

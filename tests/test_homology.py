@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import random
@@ -19,8 +20,10 @@ from gridhfk import (
     tilde_homology,
     x_plus,
 )
-from gridhfk import f2poly, homology
+from gridhfk import f2poly, homology, linalg
 from gridhfk.corpus import builtin_entries
+from gridhfk.errors import PreimageMismatch
+from gridhfk.floer import grading_tables, rectangles
 from gridhfk.homology import (
     _decode,
     _encode,
@@ -28,6 +31,7 @@ from gridhfk.homology import (
     format_qt,
     format_t,
     hat_from_tilde,
+    incoming,
     slice_boundary,
 )
 from gridhfk.invariants import iterated_connect_sum, x_minus
@@ -170,6 +174,21 @@ def test_slice_builder_matches_oracles(name, G):
             block = slice_boundary(G, src, tgt)
             oracle = oracles.boundary_entries(G, _states(src, G.n), _index(tgt, G.n))
             assert set(map(tuple, block.tolist())) == oracle
+            # the incoming kernel lists the same entries from the targets'
+            # side, every source it finds lies in the block's slice, and it
+            # knows each rectangle by the left column and width the
+            # outgoing kernel gives it
+            x, i, w, Y = incoming(G, _decode(tgt, G.n))
+            sources = _encode(Y)
+            cols = np.searchsorted(src, sources)
+            assert (cols < len(src)).all() and (src[np.minimum(cols, len(src) - 1)] == sources).all()
+            pairs = collections.Counter(zip(x.tolist(), cols.tolist()))
+            assert {pair for pair, k in pairs.items() if k % 2} == oracle
+            y, i_out, w_out, _, T = rectangles(G, _decode(src, G.n), grading_tables(G).gap)
+            rows = np.searchsorted(tgt, _encode(T))
+            assert collections.Counter(zip(x.tolist(), i.tolist(), w.tolist(), cols.tolist())) == (
+                collections.Counter(zip(rows.tolist(), i_out.tolist(), w_out.tolist(), y.tolist()))
+            )
     for cycle in (x_plus(G), x_minus(G)):
         assert class_vanishes(G, [cycle]) == oracles.tilde_verdict(G, [cycle])
     # the whole differential at once: rectangles holding markers do reach
@@ -279,16 +298,21 @@ def test_budget_guard(monkeypatch):
 
 
 def test_budget_refuses_exactly_the_largest_fiber(monkeypatch, figure_eight, cinquefoil):
+    # also for n <= 5, where the fiber search table outweighs budget x n
+    # bytes: the trefoil's largest fiber holds 46 generators, its table 416
     rng = random.Random(6767)
-    for G in [figure_eight, cinquefoil] + [random_knot(rng, n) for n in (6, 6, 7, 7)]:
+    small = [e.grid for e in builtin_entries() if e.grid.n <= 5]
+    grids = small + [random_knot(rng, n) for n in (3, 4, 5)]
+    for G in grids + [figure_eight, cinquefoil] + [random_knot(rng, n) for n in (6, 6, 7, 7)]:
         largest = max(len(fiber) for fiber in oracles.fibers(G).values())
         monkeypatch.delenv("GRIDHFK_MAX_SLICE", raising=False)
         report = tilde_homology(G)
         monkeypatch.setenv("GRIDHFK_MAX_SLICE", str(largest))
         assert tilde_homology(G) == report
-        monkeypatch.setenv("GRIDHFK_MAX_SLICE", str(largest - 1))
-        with pytest.raises(BudgetExceeded, match=f"budget {largest - 1}$"):
-            tilde_homology(G)
+        if largest > 1:  # a budget must be positive
+            monkeypatch.setenv("GRIDHFK_MAX_SLICE", str(largest - 1))
+            with pytest.raises(BudgetExceeded, match=f"budget {largest - 1}$"):
+                tilde_homology(G)
 
 
 def test_class_vanishes_rejects_non_cycle(trefoil):
@@ -303,6 +327,32 @@ def test_class_vanishes_rejects_non_cycle(trefoil):
 def test_class_vanishes_x_plus(trefoil, figure_eight):
     assert class_vanishes(trefoil, [x_plus(trefoil)]) == "Survives"
     assert class_vanishes(figure_eight, [x_plus(figure_eight)]) == "Vanishes"
+
+
+def test_verdicts_where_the_fiber_exceeds_the_budget():
+    # the x+ fibers of these knots hold millions of generators, more than
+    # the default budget allows; x+ bounds within a few rectangles of itself
+    for seed, n in ((5, 11), (5, 12), (7, 12)):
+        G = random_knot(random.Random(seed), n)
+        start = time.perf_counter()
+        assert class_vanishes(G, [x_plus(G)]) == "Vanishes"
+        assert time.perf_counter() - start < 1.0
+
+
+def test_verdict_checks_its_preimage(monkeypatch, trefoil, figure_eight):
+    # a reduction whose tags name the wrong columns must not get a wrong
+    # "Vanishes" past the product check
+    extend = linalg._extend
+
+    def corrupted(pivots, columns, tagged):
+        extend(pivots, columns, tagged)
+        pivots.update({k: (v, 0) for k, (v, _) in pivots.items()})
+        return pivots
+
+    monkeypatch.setattr(linalg, "_extend", corrupted)
+    with pytest.raises(PreimageMismatch):
+        class_vanishes(figure_eight, [x_plus(figure_eight)])
+    assert class_vanishes(trefoil, [x_plus(trefoil)]) == "Survives"
 
 
 def test_class_vanishes_minus0_corroboration(trefoil, figure_eight):

@@ -8,7 +8,7 @@ from gridhfk import linalg
 from gridhfk.corpus import builtin_entries
 from gridhfk.errors import DimensionMismatch, PreimageMismatch
 from gridhfk.homology import enumerate_fibers, slice_boundary
-from gridhfk.linalg import SparseF2Matrix, f2_rank, f2_solve, rank_from_entries
+from gridhfk.linalg import ColumnSpan, SparseF2Matrix, f2_rank, f2_solve, rank_from_entries
 
 from conftest import random_knot
 
@@ -229,3 +229,43 @@ def test_solve_checks_its_preimage(monkeypatch):
     with pytest.raises(PreimageMismatch):
         f2_solve(m, [1, 0, 0])
     assert f2_solve(m, [0, 0, 0]) == [0, 0, 0]
+
+
+def test_column_span_in_batches_agrees_with_solve():
+    # columns arrive in batches that reach new rows, in any order and with
+    # positions listed three times; b lies in their span exactly when
+    # f2_solve finds a preimage on the whole matrix
+    rng = random.Random(4242)
+    hits = 0
+    for _ in range(60):
+        rows, cols = rng.randint(1, 24), rng.randint(2, 24)
+        entries = random_entries(rng, rows, cols, 0.15)
+        b_rows = sorted(rng.sample(range(rows), rng.randint(1, min(3, rows))))
+        b = [int(r in b_rows) for r in range(rows)]
+        whole = f2_solve(SparseF2Matrix(rows, cols, entries), b)
+        span = ColumnSpan(b_rows)
+        start = 0
+        for cut in sorted(rng.sample(range(1, cols), min(2, cols - 1))) + [cols]:
+            batch = [(r, c - start) for r, c in entries if start <= c < cut]
+            batch = batch * 3 + [(0, 0)] * 2
+            rng.shuffle(batch)
+            reached = max([r + 1 for r, c in entries if c < cut] + [span.rows, 1])
+            in_span = span.add(reached, cut - start, batch)
+            start = cut
+        z = span.preimage()
+        assert in_span == (z is not None) == (whole is not None)
+        if z is not None:
+            hits += 1
+            total = np.zeros(rows, dtype=np.int64)
+            for r, c in entries:
+                total[r] += z[c]
+            assert (total % 2 == b).all()
+    assert hits >= 10
+
+
+def test_column_span_rejects_entries_outside():
+    span = ColumnSpan([0])
+    span.add(2, 1, [(1, 0)])
+    for rows, cols, entries in ((2, 1, [(2, 0)]), (2, 1, [(0, 1)]), (2, 1, [(-1, 0)]), (2, 1, [(0, -1)])):
+        with pytest.raises(DimensionMismatch):
+            span.add(rows, cols, entries)

@@ -14,7 +14,8 @@ class SizeMismatch(GridError):
 
 
 class NotPermutation(GridError):
-    """A marker set repeats or skips a row index."""
+    """A marker set, or a state handed in as a generator, repeats or skips
+    a row index."""
 
 
 class MarkerCollision(GridError):

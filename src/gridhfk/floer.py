@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import AsymmetricResult, OutOfRange
+from .errors import AsymmetricResult, NotPermutation, OutOfRange
 
 FLAVORS = ("tilde", "minus0")
 
@@ -130,9 +130,19 @@ def grade_array(G, P):
     return _noninversions(P) - sumO + t.JOO + 1, a2 // 2
 
 
+def _generator(G, state):
+    """``state`` as a tuple, refused with ``NotPermutation`` unless it is a
+    permutation of 0..n-1."""
+    state = tuple(state)
+    if sorted(state) != list(range(G.n)):
+        raise NotPermutation(f"state {state} is not a permutation of 0..{G.n - 1}")
+    return state
+
+
 def bigrading(G, state):
-    """Absolute (Maslov, Alexander) bigrading of a generator."""
-    M, A = grade_array(G, [tuple(state)])
+    """Absolute (Maslov, Alexander) bigrading of a generator; a state that
+    is not one is refused with ``NotPermutation``."""
+    M, A = grade_array(G, [_generator(G, state)])
     return Bigrading(M=int(M[0]), A=int(A[0]))
 
 
@@ -199,12 +209,13 @@ def differential(G, state, flavor="tilde"):
     minus0 -> dict {(o_columns, target_state): 1} over rectangles with no X;
               ``o_columns`` is the sorted tuple of 1-based columns whose O
               marker (U-variable) the rectangle picks up.
+    A state that is not a generator is refused with ``NotPermutation``.
     """
     if flavor not in FLAVORS:
         raise OutOfRange(f"unknown flavor {flavor!r}")
     n = G.n
     t = grading_tables(G)
-    state = np.array(state, dtype=np.int8)
+    state = np.array(_generator(G, state), dtype=np.int8)
     _, i, w, h, T = rectangles(G, state, t.gap if flavor == "tilde" else t.gap_x)
     keys = map(tuple, T.tolist())
     if flavor == "minus0":

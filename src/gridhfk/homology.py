@@ -64,6 +64,15 @@ def _decode(codes, n):
     return codes.view(np.int8).reshape(-1, n)
 
 
+def _find(sorted_codes, codes):
+    """Insertion positions of ``codes`` in ``sorted_codes``, and whether
+    each is there."""
+    pos = np.searchsorted(sorted_codes, codes)
+    found = pos < len(sorted_codes)
+    found[found] = sorted_codes[pos[found]] == codes[found]
+    return pos, found
+
+
 def enumerate_fibers(G):
     """All n! generators bucketed by Alexander grading.
 
@@ -156,10 +165,7 @@ def slice_boundary(G, src_codes, tgt_codes):
     """
     S = _decode(src_codes, G.n)
     x, _, _, _, T = rectangles(G, S, grading_tables(G).gap)
-    targets = _encode(T)
-    rows = np.searchsorted(tgt_codes, targets)
-    hit = rows < len(tgt_codes)
-    hit[hit] = tgt_codes[rows[hit]] == targets[hit]
+    rows, hit = _find(tgt_codes, _encode(T))
     keys, counts = np.unique(rows[hit] * len(S) + x[hit], return_counts=True)
     keys = keys[counts % 2 == 1]
     return np.stack([keys // len(S), keys % len(S)], axis=1)
@@ -435,25 +441,14 @@ def incoming(G, S):
     every marker.
 
     Reflecting the torus top to bottom swaps the lower and upper corners of
-    each rectangle and keeps its columns, so one from y to x with left
-    column i and width w becomes one from x' to y' with the same columns,
-    interior points and markers, and ``rectangles`` lists those on the
-    reflected grid.  Returns, per rectangle, the index of x in ``S``, i, w
-    and the (N' x n) array of the y; ``rectangles`` lists the same one from
-    y with the same i and w.
+    each rectangle and keeps its columns, interior points and markers, so
+    ``rectangles`` on the reflected grid lists the ones from x' to y'.
+    Returns, per rectangle, the index of x in ``S`` and the (N' x n) array
+    of the y.
     """
     R = _reflected(G)
-    x, i, w, _, Y = rectangles(R, G.n - 1 - np.asarray(S, dtype=np.int8), grading_tables(R).gap)
-    return x, i, w, G.n - 1 - Y
-
-
-def _find(sorted_keys, keys):
-    """Insertion positions of ``keys`` in ``sorted_keys``, and whether each
-    is there."""
-    pos = np.searchsorted(sorted_keys, keys)
-    found = pos < len(sorted_keys)
-    found[found] = sorted_keys[pos[found]] == keys[found]
-    return pos, found
+    x, _, _, _, Y = rectangles(R, G.n - 1 - np.asarray(S, dtype=np.int8), grading_tables(R).gap)
+    return x, G.n - 1 - Y
 
 
 def _tilde_vanishes(G, chain, bg):
@@ -462,40 +457,29 @@ def _tilde_vanishes(G, chain, bg):
     The boundary from slice (M+1, A) to the chain's slice (M, A) splits
     along the connected components of its bipartite graph, with an edge for
     each empty marker-free rectangle, and so does the equation dz = chain.
-    The component is grown breadth first from the chain's rows.  Each round
-    takes the rows first reached in the round before, adds the sources of
-    the rectangles into them as columns (``incoming``), adds those columns'
-    whole boundaries as rows, and reduces the new columns into the tagged
-    pivots of the old ones (``ColumnSpan``).  A preimage found then has its
-    whole boundary among the rows: "Vanishes", after a product check.  A
-    round that adds no column has closed the component, and any preimage
-    restricted to it would still be one: "Survives".  The slice budget caps
-    the component's rows and columns before each round's arrays are built,
-    and the bitsets of its reduction, rank x (rows + columns) bits at most,
-    to ``SOLVE_BYTES`` bytes per budgeted generator before each reduction.
-
-    Breadth first, each round meets only its own rows and columns and the
-    round before's.  A column first reached in round k has its whole
-    boundary among the rows by the end of round k.  So the rectangles into
-    the rows first reached in round k come from columns of round k, which
-    found them going out, or of round k + 1; and the rectangles out of a
-    column of round k + 1 end in rows of round k, which found them coming
-    in, or in new rows.  A rectangle is known by either end, its left
-    column and its width, so these are matched by integer keys, and only
-    the rectangles to new generators are compared state by state.
+    The component is grown from the chain's rows, and the rows and columns
+    seen are kept in sorted code tables.  Each round takes the rows first
+    reached in the round before, adds the sources of the rectangles into
+    them that are not yet columns (``incoming``), adds those columns' whole
+    boundaries, with the targets not yet rows as the next round's rows, and
+    reduces the new columns into the tagged pivots of the old ones
+    (``ColumnSpan``).  New generators are numbered in code order.  A
+    preimage found then has its whole boundary among the rows: "Vanishes",
+    after a product check.  A round that adds no column has closed the
+    component, and any preimage restricted to it would still be one:
+    "Survives".  The slice budget caps the component's rows and columns
+    before each round's arrays are built, and the bitsets of its reduction,
+    rank x (rows + columns) bits at most, to ``SOLVE_BYTES`` bytes per
+    budgeted generator before each reduction.
     """
     n = G.n
     cap = max_slice_budget()
     gap = grading_tables(G).gap
-
-    def key(k, i, w):  # a rectangle, by the index k of one end, its left column and width
-        return (k * n + i) * n + w
-
     codes, counts = np.unique(_encode(np.array(chain)), return_counts=True)
     frontier = codes[counts % 2 == 1]  # codes of the rows first reached last round
-    first = 0  # the number of the row frontier[0]; rows are numbered as reached
-    back = np.zeros(0, dtype=np.int64)  # sorted keys of last round's rectangles into them
-    span = ColumnSpan(np.arange(len(frontier)))
+    rows, row_ids = frontier, np.arange(len(frontier))  # the rows seen, by code, and their numbers
+    cols = frontier[:0]  # the columns seen, by code
+    span = ColumnSpan(row_ids)
     while span.preimage() is None:
         if not len(frontier):
             return "Survives"
@@ -504,35 +488,38 @@ def _tilde_vanishes(G, chain, bg):
                 f"slice (M={bg.M}, A={bg.A}): {span.rows} generators of the cycle's"
                 f" component exceed budget {cap}"
             )
-        x, i, w, Y = incoming(G, _decode(frontier, n))
-        new = ~_find(back, key(x, i, w))[1]
-        cols, col = np.unique(_encode(Y[new]), return_inverse=True)
-        if not len(cols):
+        # the sources, each once and not yet a column; numpy 2's np.unique
+        # without return_* imports numpy.ma, 1.3 MiB of resident memory
+        new = np.sort(_encode(incoming(G, _decode(frontier, n))[1]))
+        new = np.concatenate([new[:1], new[1:][new[1:] != new[:-1]]])
+        new = new[~_find(cols, new)[1]]
+        if not len(new):
             return "Survives"
-        if span.cols + len(cols) > cap:
+        if span.cols + len(new) > cap:
             raise BudgetExceeded(
-                f"slice (M={bg.M + 1}, A={bg.A}): {span.cols + len(cols)} generators of the"
+                f"slice (M={bg.M + 1}, A={bg.A}): {span.cols + len(new)} generators of the"
                 f" cycle's component exceed budget {cap}"
             )
-        into = key(col, i[new], w[new])
-        order = np.argsort(into)
-        into, x = into[order], x[new][order]
-        src, i, w, _, T = rectangles(G, _decode(cols, n), gap)
-        at, old = _find(into, key(src, i, w))
-        fresh = ~old
-        frontier, row = np.unique(_encode(T[fresh]), return_inverse=True)
+        cols = np.sort(np.concatenate([cols, new]), kind="stable")
+        src, _, _, _, T = rectangles(G, _decode(new, n), gap)
+        targets = _encode(T)
+        at, old = _find(rows, targets)
+        frontier, row = np.unique(targets[~old], return_inverse=True)
         ids = np.empty(len(src), dtype=np.int64)
-        ids[old] = first + x[at[old]]
-        ids[fresh] = span.rows + row
-        first, back = span.rows, np.sort(key(row, i[fresh], w[fresh]))
-        rows, width = first + len(frontier), span.cols + len(cols)
-        if (span.rank + len(cols)) * (rows + width) > 8 * SOLVE_BYTES * cap:
+        ids[old] = row_ids[at[old]]
+        ids[~old] = span.rows + row
+        rows = np.concatenate([rows, frontier])
+        row_ids = np.concatenate([row_ids, np.arange(span.rows, span.rows + len(frontier))])
+        order = np.argsort(rows, kind="stable")
+        rows, row_ids = rows[order], row_ids[order]
+        height, width = span.rows + len(frontier), span.cols + len(new)
+        if (span.rank + len(new)) * (height + width) > 8 * SOLVE_BYTES * cap:
             raise BudgetExceeded(
-                f"slice (M={bg.M}, A={bg.A}): reducing the cycle's component of {rows} x"
-                f" {width} generators may take {(span.rank + len(cols)) * (rows + width) // 8}"
+                f"slice (M={bg.M}, A={bg.A}): reducing the cycle's component of {height} x"
+                f" {width} generators may take {(span.rank + len(new)) * (height + width) // 8}"
                 f" bytes of bitsets, over budget {cap} x {SOLVE_BYTES} bytes"
             )
-        span.add(rows, len(cols), np.stack([ids, src], axis=1))
+        span.add(height, len(new), np.stack([ids, src], axis=1))
     return "Vanishes"
 
 

@@ -14,7 +14,9 @@ from gridhfk import (
     BudgetExceeded,
     DimensionMismatch,
     GridError,
+    NotPermutation,
     OutOfRange,
+    bigrading,
     class_vanishes,
     differential,
     generators_with_alexander,
@@ -134,6 +136,23 @@ def test_unknown_flavor_is_typed_error(trefoil):
     for chain in ([cycle], []):
         with pytest.raises(OutOfRange, match="flavor 'hat'"):
             class_vanishes(trefoil, chain, flavor="hat")
+
+
+@pytest.mark.parametrize(
+    "state",
+    [(0, 0, 0, 0, 0), (0, 1, 2, 3, -1), (0, 1, 2, 3, 5), (0, 1, 2, 3), (0, 1, 2, 3, 4, 5), ()],
+)
+def test_states_that_are_not_generators_are_refused(trefoil, state):
+    # a repeated, negative or out-of-range row, or a state of the wrong
+    # length, is no generator of the 5x5 trefoil: it has no grading, no
+    # differential and no class
+    with pytest.raises(NotPermutation, match="not a permutation of 0..4"):
+        bigrading(trefoil, state)
+    for flavor in ("tilde", "minus0"):
+        with pytest.raises(NotPermutation):
+            differential(trefoil, state, flavor)
+    with pytest.raises(NotPermutation):
+        class_vanishes(trefoil, [x_plus(trefoil), state])
 
 
 def test_fibers_of_a_two_component_grid_are_refused():

@@ -219,12 +219,14 @@ def test_solve_rejects_rhs_of_wrong_length():
 def test_solve_checks_its_preimage(monkeypatch):
     # a reduction whose tags name the wrong source columns must not get a
     # wrong preimage past the product check
-    reduce = linalg._pivots
+    extend = linalg._extend
 
-    def corrupted(columns, tagged):
-        return {k: (v, tag ^ 0b10) for k, (v, tag) in reduce(columns, tagged).items()}
+    def corrupted(pivots, columns, tagged):
+        extend(pivots, columns, tagged)
+        pivots.update({k: (v, tag ^ 0b10) for k, (v, tag) in pivots.items()})
+        return pivots
 
-    monkeypatch.setattr(linalg, "_pivots", corrupted)
+    monkeypatch.setattr(linalg, "_extend", corrupted)
     m = SparseF2Matrix(3, 3, {(i, i) for i in range(3)})
     with pytest.raises(PreimageMismatch):
         f2_solve(m, [1, 0, 0])

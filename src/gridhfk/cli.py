@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from pathlib import Path
 
 from . import corpus
 from .errors import BudgetExceeded, GridError
+from .floer import Bigrading
 from .front import classical_invariants, front_projection
 from .grid import format_grid, parse_grid, render_grid, component_count
 from .homology import alexander_polynomial, format_qt, format_t, tilde_homology
@@ -24,6 +26,7 @@ from .invariants import (
     theta_status,
 )
 from .moves import (
+    apply_move,
     apply_moves,
     classify_move,
     connect_sum,
@@ -46,18 +49,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load(path):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise GridError(f"cannot read {path}: {exc}") from exc
-    return parse_grid(text)
+    return parse_grid(corpus.read_file(path))
 
 
 def _emit(text, out=None):
-    if out:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n")
-    else:
+    if not out:
         print(text)
+        return
+    try:
+        Path(out).write_text(text if text.endswith("\n") else text + "\n")
+    except OSError as exc:
+        raise GridError(f"cannot write {out}: {exc}") from exc
 
 
 def cmd_info(args):
@@ -118,8 +120,7 @@ def cmd_invariant(args):
 
 def cmd_moves(args):
     G = _load(args.file)
-    script = Path(args.script).read_text()
-    moves = parse_move_script(script)
+    moves = parse_move_script(corpus.read_file(args.script))
     result = apply_moves(G, moves)
     classes = sorted({classify_move(m) for m in moves})
     _emit(format_grid(result), args.out)
@@ -154,82 +155,77 @@ def cmd_corpus(args):
     return EXIT_OK
 
 
-# -- verification batteries ------------------------------------------------------
+# -- verification batteries: acceptance criteria 4, 5 and 9 --------------------
 
 
-def _stab_once(G, stab_type):
-    from .moves import apply_move
-
-    return apply_move(G, stabilize(stab_type, 1, G.sigma_X[0]))
-
-
-def _battery_moves(rng, checks):
+def battery_moves(rng):
+    """Criterion 4 on every corpus grid: 200 random Legendrian move sequences
+    of 1-8 moves drawn from ``rng`` keep the x+ bigrading and verdict, the
+    negative stabilization X:NE keeps the x+ bigrading and the positive X:SW
+    shifts it by (-2, -1).  An x+ that stops being a cycle raises NotACycle.
+    """
+    checks = []
     for entry in corpus.builtin_entries():
         G = entry.grid
         base = lambda_status(G, "+")
-        ok = True
-        for _ in range(10):
-            moves, G2 = random_move_sequence(G, 6, rng)
+        invariant = True
+        for _ in range(200):
+            _, G2 = random_move_sequence(G, rng.randint(1, 8), rng)
             status = lambda_status(G2, "+")
-            if (status.bigrading, status.tilde_verdict) != (base.bigrading, base.tilde_verdict):
-                ok = False
-                break
-        checks.append((f"moves: {entry.name} x+ invariant", ok))
-        stneg = lambda_status(_stab_once(G, "X:NE"), "+")
-        checks.append(
-            (
-                f"moves: {entry.name} X:NE fixes x+ bigrading",
-                stneg.bigrading == base.bigrading,
-            )
-        )
-        stpos = lambda_status(_stab_once(G, "X:SW"), "+")
-        checks.append(
-            (
-                f"moves: {entry.name} X:SW shifts x+ bigrading by (-2,-1)",
-                (stpos.bigrading.M, stpos.bigrading.A)
-                == (base.bigrading.M - 2, base.bigrading.A - 1),
-            )
-        )
+            invariant &= (status.bigrading, status.tilde_verdict) == (
+                base.bigrading, base.tilde_verdict)
+        neg, pos = (lambda_status(apply_move(G, stabilize(t, 1, G.sigma_X[0])), "+")
+                    for t in ("X:NE", "X:SW"))
+        checks += [
+            (f"moves: {entry.name} x+ invariant", invariant),
+            (f"moves: {entry.name} X:NE fixes x+ bigrading", neg.bigrading == base.bigrading),
+            (f"moves: {entry.name} X:SW shifts x+ bigrading by (-2,-1)",
+             pos.bigrading == base.bigrading + Bigrading(-2, -1)),
+        ]
+    return checks
 
 
-def _battery_kunneth(large, workers, checks):
-    U_o = corpus.get("unknot").grid
-    U_x = corpus.get("unknot-corner-x").grid
-    T_o = corpus.get("trefoil").grid
-    T_x = corpus.get("trefoil-corner-x").grid
+def battery_kunneth(large, workers):
+    """Criterion 5: the connected-sum checks of ``kunneth_check`` on the 3x3
+    and 6x6 sums, and with ``large`` on the 9x9 trefoil#trefoil."""
+    U_o, U_x, T_o, T_x = (corpus.get(name).grid for name in
+                          ("unknot", "unknot-corner-x", "trefoil", "trefoil-corner-x"))
     pairs = [("unknot#unknot", U_x, U_o), ("trefoil#unknot", T_x, U_o)]
     if large:
         pairs.append(("trefoil#trefoil", T_x, T_o))
+    checks = []
     for name, G1, G2 in pairs:
         report = kunneth_check(G1, G2, workers=workers)
-        checks.append((f"kunneth: {name} hat table = tensor product", report.hat_match))
-        checks.append((f"kunneth: {name} x+ bigradings add", report.bigrading_additive))
-        checks.append((f"kunneth: {name} vanishing product rule", report.vanishing_rule_holds))
+        checks += [
+            (f"kunneth: {name} hat table = tensor product", report.hat_match),
+            (f"kunneth: {name} x+ bigradings add", report.bigrading_additive),
+            (f"kunneth: {name} vanishing product rule", report.vanishing_rule_holds),
+        ]
+    return checks
 
 
-def _battery_nonsimple(checks):
+def battery_nonsimple():
+    """Criterion 9: the pipeline does not separate a grid from itself, and
+    certifies the stabilized trefoil against the unknot (both have sl -1)."""
     T = corpus.get("trefoil").grid
-    same = nonsimplicity_pipeline(T, T)
-    checks.append(("nonsimple: identical inputs -> not distinguished",
-                   same["conclusion"] == "not distinguished"))
-    U = corpus.get("unknot").grid
-    T_stab = _stab_once(T, "X:SW")  # sl drops to -1, matching the unknot
-    differing = nonsimplicity_pipeline(T_stab, U)
-    checks.append(("nonsimple: synthetic differing pair -> certified",
-                   differing["conclusion"] == "transversely non-simple pair certified"))
+    T_stab = apply_move(T, stabilize("X:SW", 1, T.sigma_X[0]))
+    same = nonsimplicity_pipeline(T, T)["conclusion"]
+    differing = nonsimplicity_pipeline(T_stab, corpus.get("unknot").grid)["conclusion"]
+    return [
+        ("nonsimple: identical inputs -> not distinguished", same == "not distinguished"),
+        ("nonsimple: synthetic differing pair -> certified",
+         differing == "transversely non-simple pair certified"),
+    ]
 
 
 def cmd_verify(args):
-    import random
-
-    rng = random.Random(args.seed)
     checks = []
     if args.battery in ("moves", "all"):
-        _battery_moves(rng, checks)
+        checks += battery_moves(random.Random(args.seed))
     if args.battery in ("kunneth", "all"):
-        _battery_kunneth(args.force, args.threads, checks)
+        checks += battery_kunneth(args.force, args.threads)
     if args.battery in ("nonsimple", "all"):
-        _battery_nonsimple(checks)
+        checks += battery_nonsimple()
     width = max(len(name) for name, _ in checks)
     failed = 0
     for name, ok in checks:

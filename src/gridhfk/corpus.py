@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import OutOfRange
+from .errors import GridError, OutOfRange
 from .grid import GridDiagram, parse_grid
 
 
@@ -87,11 +87,19 @@ def get(name):
     raise OutOfRange(f"no corpus entry named {name!r}")
 
 
+def read_file(path):
+    """UTF-8 text of ``path``; GridError if it cannot be read or decoded."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GridError(f"cannot read {path}: {exc}") from exc
+
+
 def load_directory(path):
     """CorpusEntry per *.grid file in ``path``, named after the file stem."""
     entries = []
     for file in sorted(Path(path).glob("*.grid")):
-        grid = parse_grid(file.read_text())
+        grid = parse_grid(read_file(file))
         entries.append(CorpusEntry(file.stem, grid, f"loaded from {file}"))
     return entries
 

@@ -4,11 +4,14 @@ Each function here works one generator (or one state) at a time in plain
 Python, and serves the tests as an oracle for
 ``homology.generators_with_alexander``, ``homology.enumerate_fibers``,
 ``homology.slice_boundary``, ``floer.rectangles``, ``floer.differential``,
-``floer.grade_array`` and the tilde verdict of ``homology.class_vanishes``.
+``floer.grade_array`` and the tilde verdict of ``homology.class_vanishes``;
+``dense_rank`` is the dense oracle for the ranks of ``linalg``.
 """
 
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from gridhfk.floer import bigrading, grading_tables
 from gridhfk.linalg import SparseF2Matrix, f2_solve
@@ -209,3 +212,23 @@ def tilde_verdict(G, chain):
         b[lo_index[tuple(s)]] ^= 1
     matrix = SparseF2Matrix(len(slice_lo), len(slice_hi), entries)
     return "Vanishes" if f2_solve(matrix, b) is not None else "Survives"
+
+
+def dense_rank(rows, cols, entries):
+    """F2 rank by dense Gaussian elimination with whole-row XORs, independent
+    of the bitset column reduction under test; a repeated entry cancels."""
+    A = np.zeros((rows, cols), dtype=np.uint8)
+    for r, c in entries:
+        A[r, c] ^= 1
+    rank = 0
+    for c in range(cols):
+        hit = np.flatnonzero(A[rank:, c])
+        if hit.size == 0:
+            continue
+        pivot = rank + hit[0]
+        A[[rank, pivot]] = A[[pivot, rank]]
+        mask = A[:, c].copy().astype(bool)
+        mask[rank] = False
+        A[mask] ^= A[rank]
+        rank += 1
+    return rank

@@ -7,30 +7,26 @@ import os
 import random
 import time
 
-import numpy as np
 import pytest
 
 from gridhfk import (
     Bigrading,
-    GridDiagram,
-    bigrading,
-    class_vanishes,
     classical_invariants,
-    component_count,
     connect_sum,
     differential,
     generating_function_mod2,
-    kunneth_check,
     lambda_status,
     nonsimplicity_pipeline,
     tilde_homology,
-    x_plus,
 )
 from gridhfk import f2poly
+from gridhfk.cli import battery_kunneth, battery_moves, battery_nonsimple
 from gridhfk.corpus import builtin_entries, get, load_directory
 from gridhfk.homology import alexander_polynomial
 from gridhfk.linalg import SparseF2Matrix, f2_rank, f2_solve, rank_from_entries
 from gridhfk.moves import apply_move, random_move_sequence, stabilize
+
+from oracles import dense_rank
 
 pytestmark = pytest.mark.acceptance
 
@@ -89,52 +85,23 @@ def test_criterion_3_figure_eight():
         assert by_a == {a: by_a[-a] for a in by_a}
 
 
-# grids produced while running the move battery, reused by criterion 7
-_battery_grids = []
+def assert_all_passed(checks):
+    failed = [name for name, ok in checks if not ok]
+    assert checks and not failed, f"failed checks: {failed}"
 
 
 def test_criterion_4_move_invariance_battery():
-    rng = random.Random(1105)
+    # gridhfk verify's move battery at seed 1105; the sl oracle fixes the
+    # stabilization roles: the negative type X:NE preserves sl+ hence A(x+)
     with timed(300.0):
-        for entry in builtin_entries():
-            G = entry.grid
-            base = lambda_status(G, "+")
-            for _ in range(200):
-                _, G2 = random_move_sequence(G, rng.randint(1, 8), rng)
-                assert differential(G2, x_plus(G2)) == {}, "x+ stopped being a cycle"
-                st = lambda_status(G2, "+")
-                assert st.bigrading == base.bigrading
-                assert st.tilde_verdict == base.tilde_verdict
-                _battery_grids.append(G2)
-            # stabilization grading laws (the sl oracle fixes the roles:
-            # the negative type X:NE preserves sl+ hence A(x+))
-            neg = apply_move(G, stabilize("X:NE", 1, G.sigma_X[0]))
-            assert bigrading(neg, x_plus(neg)) == base.bigrading
-            pos = apply_move(G, stabilize("X:SW", 1, G.sigma_X[0]))
-            assert bigrading(pos, x_plus(pos)) == Bigrading(
-                base.bigrading.M - 2, base.bigrading.A - 1
-            )
-            _battery_grids.extend([neg, pos])
+        assert_all_passed(battery_moves(random.Random(1105)))
 
 
 def test_criterion_5_kunneth_connected_sum():
-    small_pairs = [
-        (get("unknot-corner-x").grid, get("unknot").grid),
-        (get("trefoil-corner-x").grid, get("unknot").grid),
-    ]
     with timed(60.0):
-        for G1, G2 in small_pairs:
-            rep = kunneth_check(G1, G2)
-            assert rep.hat_match and rep.bigrading_additive and rep.vanishing_rule_holds
-            _battery_grids.append(rep.sum_grid)
+        assert_all_passed(battery_kunneth(False, None))
     with timed(1800.0):
-        rep = kunneth_check(
-            get("trefoil-corner-x").grid,
-            get("trefoil").grid,
-            workers=min(4, os.cpu_count() or 1),
-        )
-        assert rep.hat_match and rep.bigrading_additive and rep.vanishing_rule_holds
-        _battery_grids.append(rep.sum_grid)
+        assert_all_passed(battery_kunneth(True, min(4, os.cpu_count() or 1)))
 
 
 def test_criterion_6_sl_additivity():
@@ -152,25 +119,28 @@ def test_criterion_6_sl_additivity():
             assert sl == expected
 
 
+def criterion_7_family():
+    """Corpus grids, the grids criterion 4's battery draws and stabilizes,
+    and criterion 5's three sums."""
+    rng = random.Random(1105)
+    grids = []
+    for entry in builtin_entries():
+        G = entry.grid
+        grids.append(G)
+        grids += [random_move_sequence(G, rng.randint(1, 8), rng)[1] for _ in range(200)]
+        grids += [apply_move(G, stabilize(t, 1, G.sigma_X[0])) for t in ("X:NE", "X:SW")]
+    U_o, U_x, T_o, T_x = (
+        get(name).grid for name in ("unknot", "unknot-corner-x", "trefoil", "trefoil-corner-x")
+    )
+    return grids + [connect_sum(U_x, U_o), connect_sum(T_x, U_o), connect_sum(T_x, T_o)]
+
+
 def test_criterion_7_alexander_normalization():
-    # every corpus grid plus every grid produced by batteries 4 and 5:
     # sum_x T^A(x) = Delta * (1-T)^(n-1) mod 2, up to the unit T^-(n-1)
     # (mod 2 the blocked factor appears as 1 + T^-1); division always exact
-    grids = [e.grid for e in builtin_entries()] + list(_battery_grids)
-    if len(grids) < 100:
-        # criteria 4-5 did not run in this session; regenerate their grids
-        # from the same seed so the identity is checked on the same family
-        rng = random.Random(1105)
-        for entry in builtin_entries():
-            for _ in range(25):
-                _, G2 = random_move_sequence(entry.grid, rng.randint(1, 8), rng)
-                grids.append(G2)
-        grids.append(connect_sum(get("trefoil-corner-x").grid, get("trefoil").grid))
-    seen = set()
+    grids = {G for G in criterion_7_family() if G.n <= 9}
+    assert len(grids) == 697
     for G in grids:
-        if G in seen or G.n > 9:
-            continue
-        seen.add(G)
         gen = generating_function_mod2(G)
         alex = alexander_polynomial(G)  # raises DivisionInexact on failure
         lo = min(alex)
@@ -180,24 +150,6 @@ def test_criterion_7_alexander_normalization():
             i + lo - (G.n - 1) for i in range(blocked.bit_length()) if (blocked >> i) & 1
         }
         assert gen == expected
-
-
-def _dense_rank(rows, cols, entries):
-    A = np.zeros((rows, cols), dtype=np.uint8)
-    for r, c in entries:
-        A[r, c] ^= 1
-    rank = 0
-    for c in range(cols):
-        hit = np.flatnonzero(A[rank:, c])
-        if hit.size == 0:
-            continue
-        pivot = rank + hit[0]
-        A[[rank, pivot]] = A[[pivot, rank]]
-        mask = A[:, c].copy().astype(bool)
-        mask[rank] = False
-        A[mask] ^= A[rank]
-        rank += 1
-    return rank
 
 
 def test_criterion_8_linear_algebra_oracle():
@@ -211,7 +163,7 @@ def test_criterion_8_linear_algebra_oracle():
             for _ in range(int(rows * cols * density))
         }
         m = SparseF2Matrix(rows, cols, entries)
-        assert f2_rank(m) == _dense_rank(rows, cols, entries)
+        assert f2_rank(m) == dense_rank(rows, cols, entries)
         if trial % 10 == 0:
             b = [rng.randint(0, 1) for _ in range(rows)]
             x = f2_solve(m, b)
@@ -226,13 +178,7 @@ def test_criterion_8_linear_algebra_oracle():
 
 
 def test_criterion_9_nonsimplicity_pipeline():
-    T = get("trefoil").grid
-    same = nonsimplicity_pipeline(T, T)
-    assert same["conclusion"] == "not distinguished"
-    # synthetic pair sharing sl but differing in verdict
-    T_stab = apply_move(T, stabilize("X:SW", 1, T.sigma_X[0]))
-    differing = nonsimplicity_pipeline(T_stab, get("unknot").grid)
-    assert differing["conclusion"] == "transversely non-simple pair certified"
+    assert_all_passed(battery_nonsimple())
 
 
 def test_criterion_9_optional_transcribed_pair():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gridhfk import cli
 from gridhfk.cli import main
 from gridhfk.corpus import builtin_entries
 from gridhfk.grid import format_grid, parse_grid
@@ -193,3 +194,45 @@ def test_verify_nonsimple(capsys):
     code, out, _ = run(capsys, "verify", "--battery", "nonsimple")
     assert code == 0
     assert "2/2 checks passed" in out
+
+
+def test_verify_moves(capsys):
+    code, out, _ = run(capsys, "verify", "--battery", "moves")
+    assert code == 0
+    assert "18/18 checks passed" in out
+
+
+def test_verify_kunneth(capsys):
+    code, out, _ = run(capsys, "verify", "--battery", "kunneth")
+    assert code == 0
+    assert "6/6 checks passed" in out
+
+
+def test_verify_failing_check_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "battery_nonsimple", lambda: [("nonsimple: broken", False)])
+    code, out, _ = run(capsys, "verify", "--battery", "nonsimple")
+    assert code == 2
+    assert "nonsimple: broken  FAIL" in out and "0/1 checks passed" in out
+
+
+def test_unreadable_and_unwritable_files_exit_2(grid_dir, tmp_path, monkeypatch, capsys):
+    # each prints one line and exits 2: a missing move script, a grid file
+    # that is not UTF-8 (also in the corpus directory), an --out in no directory
+    def exits_2(message, *argv):
+        code, _, err = run(capsys, *argv)
+        return (code, len(err.splitlines()), message in err) == (2, 1, True)
+
+    (tmp_path / "corpus").mkdir()
+    latin1 = tmp_path / "corpus" / "latin1.grid"
+    latin1.write_bytes(b"# n\xe9ud\nn=2\nO=1,2\nX=2,1\n")
+    script = tmp_path / "script.txt"
+    script.write_text("cycR 1\n")
+    unknot, unknot_x = str(grid_dir / "unknot.grid"), str(grid_dir / "unknot-corner-x.grid")
+    out = ("--out", str(tmp_path / "no" / "dir" / "x.grid"))
+    assert exits_2("cannot read", "moves", unknot, str(tmp_path / "missing.txt"))
+    assert exits_2("cannot read", "info", str(latin1))
+    assert exits_2("cannot write", "corpus", "export", "trefoil", *out)
+    assert exits_2("cannot write", "moves", unknot, str(script), *out)
+    assert exits_2("cannot write", "connsum", unknot_x, unknot, *out)
+    monkeypatch.setenv("GRIDHFK_CORPUS_DIR", str(latin1.parent))
+    assert exits_2("cannot read", "corpus", "list")

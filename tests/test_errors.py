@@ -38,10 +38,12 @@ def test_no_asserts_in_library():
 
 
 def test_no_unused_imports_in_library():
-    # __init__.py imports names only to re-export them
-    for path in sorted(Path(gridhfk.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    # the package's __init__.py imports names only to re-export them
+    package = Path(gridhfk.__file__).parent
+    root = Path(__file__).resolve().parent.parent
+    paths = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    paths += list((root / "tests").glob("*.py")) + list((root / "demos").glob("*.py"))
+    for path in sorted(paths):
         tree = ast.parse(path.read_text(), filename=str(path))
         imported = {}
         for node in ast.walk(tree):

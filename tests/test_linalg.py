@@ -11,29 +11,7 @@ from gridhfk.homology import enumerate_fibers, slice_boundary
 from gridhfk.linalg import ColumnSpan, SparseF2Matrix, f2_rank, f2_solve, rank_from_entries
 
 from conftest import random_knot
-
-
-def dense_rank_oracle(rows, cols, entries):
-    """Plain dense Gaussian elimination over F2, independent of the bitset
-    column reduction under test."""
-    A = np.zeros((rows, cols), dtype=np.uint8)
-    for r, c in entries:
-        A[r, c] ^= 1
-    rank = 0
-    for c in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if A[r, c]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        A[[rank, pivot]] = A[[pivot, rank]]
-        for r in range(rows):
-            if r != rank and A[r, c]:
-                A[r] ^= A[rank]
-        rank += 1
-    return rank
+from oracles import dense_rank
 
 
 def random_entries(rng, rows, cols, density):
@@ -60,7 +38,7 @@ def test_rank_against_dense_oracle_small():
         rows, cols = rng.randint(1, 20), rng.randint(1, 20)
         entries = random_entries(rng, rows, cols, rng.choice([0.1, 0.3, 0.6]))
         m = SparseF2Matrix(rows, cols, entries)
-        assert f2_rank(m) == dense_rank_oracle(rows, cols, entries)
+        assert f2_rank(m) == dense_rank(rows, cols, entries)
 
 
 def test_rank_equals_transpose_rank():
@@ -162,7 +140,7 @@ def test_rank_of_every_boundary_block_matches_dense_oracle(name, G):
         for m in np.unique(M):
             src, tgt = codes[M == m], codes[M == m - 1]
             block = slice_boundary(G, src, tgt)
-            expected = dense_rank_oracle(len(tgt), len(src), block.tolist())
+            expected = dense_rank(len(tgt), len(src), block.tolist())
             assert rank_from_entries(len(tgt), len(src), block) == expected
 
 
@@ -174,7 +152,7 @@ def test_unsorted_repeated_positions_count_once():
         listed = sorted(entries) * 2 + rng.sample(sorted(entries), len(entries) // 2)
         rng.shuffle(listed)
         shuffled = np.array(listed, dtype=np.int64).reshape(-1, 2)
-        assert rank_from_entries(rows, cols, shuffled) == dense_rank_oracle(rows, cols, entries)
+        assert rank_from_entries(rows, cols, shuffled) == dense_rank(rows, cols, entries)
         b = _apply(SparseF2Matrix(rows, cols, entries), [rng.randint(0, 1) for _ in range(cols)])
         x = f2_solve(SparseF2Matrix(rows, cols, shuffled), b)
         assert x is not None and _apply(SparseF2Matrix(rows, cols, entries), x) == b
@@ -187,7 +165,7 @@ def test_tall_matrix_with_few_columns():
             rows = rng.randint(65, 200)
             entries = random_entries(rng, rows, cols, 0.05)
             m = SparseF2Matrix(rows, cols, entries)
-            assert f2_rank(m) == dense_rank_oracle(rows, cols, entries)
+            assert f2_rank(m) == dense_rank(rows, cols, entries)
             x0 = [rng.randint(0, 1) for _ in range(cols)]
             x = f2_solve(m, _apply(m, x0))
             assert len(x) == cols and _apply(m, x) == _apply(m, x0)
@@ -197,7 +175,7 @@ def test_empty_columns():
     # columns 0, 2 and 5 hold no entry: rank 2, and they never enter a preimage
     entries = {(0, 1), (1, 1), (1, 3), (2, 4), (3, 4)}
     m = SparseF2Matrix(4, 6, entries)
-    assert f2_rank(m) == dense_rank_oracle(4, 6, entries) == 3
+    assert f2_rank(m) == dense_rank(4, 6, entries) == 3
     x = f2_solve(m, [1, 0, 1, 1])
     assert len(x) == 6 and x[0] == x[2] == x[5] == 0 and _apply(m, x) == [1, 0, 1, 1]
     assert f2_solve(m, [0, 0, 1, 0]) is None

@@ -17,7 +17,6 @@ from gridhfk import (
 from gridhfk.errors import CornerConditionUnmet, MultiComponent, OutOfRange
 from gridhfk.homology import alexander_polynomial
 from gridhfk.moves import (
-    GridMove,
     STAB_TYPES,
     commute_cols,
     commute_rows,

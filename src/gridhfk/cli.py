@@ -18,7 +18,7 @@ from .errors import BudgetExceeded, GridError
 from .floer import Bigrading
 from .front import classical_invariants, front_projection
 from .grid import format_grid, parse_grid, render_grid, component_count
-from .homology import alexander_polynomial, format_qt, format_t, tilde_homology
+from .homology import POOL_MIN_N, alexander_polynomial, format_qt, format_t, tilde_homology
 from .invariants import (
     kunneth_check,
     lambda_status,
@@ -235,6 +235,10 @@ def cmd_verify(args):
     return EXIT_OK if failed == 0 else EXIT_VALIDATION
 
 
+THREADS_HELP = (f"processes that reduce the Alexander fibers of each grid of size"
+                f" {POOL_MIN_N}x{POOL_MIN_N} or more; smaller grids run serially")
+
+
 def build_parser():
     parser = _Parser(prog="gridhfk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -252,7 +256,7 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--flavor", choices=("tilde", "hat"), default="tilde")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
     p.set_defaults(func=cmd_homology)
 
     p = sub.add_parser("invariant", help="lambda/theta invariant status")
@@ -285,7 +289,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true",
                    help="include the large trefoil#trefoil case")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("corpus", help="built-in certified grids")

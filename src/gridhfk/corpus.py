@@ -80,7 +80,11 @@ def builtin_entries():
 
 
 def get(name):
-    """Look up a corpus entry by name (built-in first, then extra files)."""
+    """Look up a corpus entry by name: built-in first, so that only other
+    names read the extra files."""
+    for entry in _BUILTIN:
+        if entry.name == name:
+            return entry
     for entry in all_entries():
         if entry.name == name:
             return entry

@@ -236,3 +236,21 @@ def test_unreadable_and_unwritable_files_exit_2(grid_dir, tmp_path, monkeypatch,
     assert exits_2("cannot write", "connsum", unknot_x, unknot, *out)
     monkeypatch.setenv("GRIDHFK_CORPUS_DIR", str(latin1.parent))
     assert exits_2("cannot read", "corpus", "list")
+
+
+def test_builtin_corpus_names_do_not_read_the_corpus_dir(tmp_path, monkeypatch, capsys):
+    # a bad extra file fails only the commands that need the extra files
+    (tmp_path / "latin1.grid").write_bytes(b"# n\xe9ud\nn=2\nO=1,2\nX=2,1\n")
+    monkeypatch.setenv("GRIDHFK_CORPUS_DIR", str(tmp_path))
+    code, out, _ = run(capsys, "corpus", "export", "trefoil")
+    assert code == 0 and parse_grid(out).sigma_X == (3, 4, 5, 1, 2)
+    code, _, err = run(capsys, "corpus", "export", "latin1")
+    assert (code, len(err.splitlines()), "cannot read" in err) == (2, 1, True)
+    assert run(capsys, "verify", "--battery", "nonsimple")[0] == 0
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_bad_threads_exit_2(grid_dir, capsys, threads):
+    for argv in (["homology", str(grid_dir / "trefoil.grid")], ["verify", "--battery", "kunneth"]):
+        code, out, err = run(capsys, *argv, "--threads", threads)
+        assert (code, out, len(err.splitlines()), "workers" in err) == (2, "", 1, True)

@@ -2,7 +2,10 @@
 and environment settings fail cleanly."""
 
 import ast
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -56,6 +59,18 @@ def test_no_unused_imports_in_library():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = sorted((line, name) for name, line in imported.items() if name not in used)
         assert not unused, f"{path.name} imports unused names {unused}"
+
+
+def test_package_import_starts_no_pool_machinery():
+    # the process pool is imported only when a grid is big enough to use it
+    code = (
+        "import sys, gridhfk, gridhfk.homology, gridhfk.invariants;"
+        "print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(gridhfk.__file__).parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout.strip()) == (0, "[]"), out.stderr
 
 
 def test_determinant_rejects_ragged_matrix():

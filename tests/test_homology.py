@@ -1,4 +1,5 @@
 import collections
+import concurrent.futures
 import itertools
 import json
 import random
@@ -23,7 +24,7 @@ from gridhfk import (
 )
 from gridhfk import f2poly, homology, linalg
 from gridhfk.corpus import builtin_entries
-from gridhfk.errors import PreimageMismatch
+from gridhfk.errors import OutOfRange, PreimageMismatch
 from gridhfk.floer import grading_tables, rectangles
 from gridhfk.homology import (
     _decode,
@@ -76,8 +77,40 @@ def test_cinquefoil_report(cinquefoil):
     assert rep.euler_characteristic_exponents_mod2() == rep.alexander_mod2
 
 
-def test_workers_do_not_change_result(trefoil):
-    assert tilde_homology(trefoil, workers=2).ranks == tilde_homology(trefoil).ranks
+def test_workers_do_not_change_result():
+    # 8x8 is the smallest size that goes to a real 2-worker pool
+    G = random_knot(random.Random(8), homology.POOL_MIN_N)
+    assert tilde_homology(G, workers=2).to_json() == tilde_homology(G).to_json()
+
+
+def test_pool_has_at_most_one_process_per_fiber(monkeypatch):
+    sizes = []
+
+    class InlineExecutor:
+        """Records the pool size asked for and runs the jobs in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    G = random_knot(random.Random(8), homology.POOL_MIN_N)
+    assert tilde_homology(G, workers=64).to_json() == tilde_homology(G).to_json()
+    assert sizes == [len(enumerate_fibers(G))]
+
+
+@pytest.mark.parametrize("workers", [0, -3, 1.5, "2"])
+def test_bad_workers_are_refused(trefoil, workers):
+    with pytest.raises(OutOfRange, match="workers"):
+        tilde_homology(trefoil, workers=workers)
 
 
 def test_report_json_is_canonical(trefoil):

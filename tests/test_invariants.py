@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 import pytest
@@ -15,6 +16,7 @@ from gridhfk import (
     x_minus,
     x_plus,
 )
+from gridhfk.corpus import shift_grid
 from gridhfk.invariants import iterated_connect_sum
 from gridhfk.moves import apply_move, stabilize
 
@@ -84,6 +86,15 @@ def test_kunneth_small(unknot, unknot_corner_x, trefoil):
     rep = kunneth_check(trefoil_corner_x_grid(), unknot)
     assert rep.ok
     assert rep.bigrading_sum == Bigrading(2, 1)
+
+
+def test_kunneth_below_pool_size_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    rep = kunneth_check(trefoil_corner_x_grid(), shift_grid(3, 1), workers=2)
+    assert rep.sum_grid.n == 7 and rep.ok
 
 
 def trefoil_corner_x_grid():

@@ -18,7 +18,14 @@ from .errors import BudgetExceeded, GridError
 from .floer import Bigrading
 from .front import classical_invariants, front_projection
 from .grid import format_grid, parse_grid, render_grid, component_count
-from .homology import POOL_MIN_N, alexander_polynomial, format_qt, format_t, tilde_homology
+from .homology import (
+    POOL_MIN_N,
+    alexander_polynomial,
+    check_workers,
+    format_qt,
+    format_t,
+    tilde_homology,
+)
 from .invariants import (
     kunneth_check,
     lambda_status,
@@ -219,6 +226,7 @@ def battery_nonsimple():
 
 
 def cmd_verify(args):
+    check_workers(args.threads)
     checks = []
     if args.battery in ("moves", "all"):
         checks += battery_moves(random.Random(args.seed))

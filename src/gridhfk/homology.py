@@ -4,7 +4,11 @@ The tilde complex over all n! generators is processed one Alexander grading
 at a time: the differential preserves A, so each fiber is an independent
 chain complex graded by Maslov degree.  ``slice_boundary`` builds each
 boundary block between adjacent Maslov slices in one vectorized pass for
-the homology ranks.  Hat-flavor data is recovered by exact division of the
+the homology ranks.  A fiber's blocks are ranked from the highest Maslov
+degree down, with clearing: a column of d_m whose generator tops a reduced
+pivot of d_{m+1} reduces to zero, so it is dropped before the block is
+built, and about half the columns never get rectangles or a bitset
+(``_fiber_ranks``).  Hat-flavor data is recovered by exact division of the
 tilde Poincare polynomial by (1 + q^-1 t^-1)^(n-1); inexact division is a
 hard failure, never papered over.
 
@@ -44,7 +48,9 @@ SOLVE_BYTES = 200  # bitset bytes a verdict's reduction may hold per budgeted ge
 # and stopping a 2-worker pool costs 11.5 ms, and at n <= 7 the whole complex
 # is 20-35 ms of work: a 7x7 sum took 41-50 ms pooled against 23-36 ms
 # serial.  At n = 8 the pool first won (0.14-0.17 s against 0.16-0.26 s),
-# and at 9x9 it took 1.89 s against 3.42 s.
+# and at 9x9 it took 1.89 s against 3.42 s.  With clearing, which cuts the
+# work of each fiber, it still won or tied at n = 8 (0.10-0.14 s against
+# 0.10-0.16 s) and took the 9x9 from 1.15-1.39 s to 0.94-0.97 s.
 POOL_MIN_N = 8
 
 
@@ -178,15 +184,32 @@ def slice_boundary(G, src_codes, tgt_codes):
 
 
 def _fiber_ranks(G, codes, M):
-    """Per-Maslov homology ranks of one Alexander fiber, sorted by (M, code)."""
+    """Per-Maslov homology ranks of one Alexander fiber, sorted by (M, code).
+
+    The blocks are ranked from the highest Maslov degree down, with
+    clearing (Chen-Kerber; PHAT): a reduced column of block m+1 with top
+    row i is a boundary, so d_m of it is 0 and column i of block m is a sum
+    of columns before it.  Such columns are dropped from block m before it
+    is built; by induction the kept ones span what all of them span, so
+    rank d_m is the rank of the kept columns.
+    """
     ms, starts = np.unique(M, return_index=True)
     groups = dict(zip(ms.tolist(), np.split(codes, starts[1:])))
     brank = {}  # m -> rank of boundary out of Maslov degree m
-    for m, src in groups.items():
+    cleared = {}  # m -> top rows of block m+1's pivots, as columns of block m
+    for m in sorted(groups, reverse=True):
         tgt = groups.get(m - 1)
-        if tgt is not None:
-            entries = slice_boundary(G, src, tgt)
-            brank[m] = rank_from_entries(len(tgt), len(src), entries)
+        if tgt is None:
+            continue
+        # the fiber is sorted by (M, code), so C_m is in code order both as
+        # block m's columns and as block m+1's rows: a top row of block m+1
+        # is a column number of block m
+        keep = np.ones(len(groups[m]), dtype=bool)
+        keep[np.asarray(cleared.pop(m, []), dtype=np.int64)] = False
+        src = groups[m][keep]
+        entries = slice_boundary(G, src, tgt)
+        cleared[m - 1] = tops = []
+        brank[m] = rank_from_entries(len(tgt), len(src), entries, tops)
     ranks = {}
     for m, cs in groups.items():
         h = len(cs) - brank.get(m, 0) - brank.get(m + 1, 0)
@@ -362,6 +385,12 @@ class HomologyReport:
         )
 
 
+def check_workers(workers):
+    """Refuse a worker count that is neither None nor a positive int."""
+    if workers is not None and not (isinstance(workers, int) and workers > 0):
+        raise OutOfRange(f"workers must be a positive integer, got {workers!r}")
+
+
 def tilde_homology(G, workers=None):
     """Full bigraded tilde homology plus the derived hat/Alexander data.
 
@@ -370,8 +399,7 @@ def tilde_homology(G, workers=None):
     fiber and merged in grading order, so output never depends on the
     worker count.  ``workers`` is None or a positive int.
     """
-    if workers is not None and not (isinstance(workers, int) and workers > 0):
-        raise OutOfRange(f"workers must be a positive integer, got {workers!r}")
+    check_workers(workers)
     if component_count(G) != 1:
         raise MultiComponent("homology requires a single-component grid")
     fibers = enumerate_fibers(G)

@@ -3,9 +3,10 @@
 Matrices are (row, col) positions, given as pairs or as an (nnz x 2) array;
 rank and solve reduce the columns, as Python-int bitsets over rows (xor at C
 speed), left to right against the pivots so far, keyed by their top bit.
-``ColumnSpan`` keeps those pivots between batches of columns, so a solve can
-grow its matrix until the right-hand side lies in its span; ``f2_solve`` is
-its one-batch case.
+``rank_from_entries`` can also hand back the pivots' top rows, which the
+homology ranks clear from the next block down.  ``ColumnSpan`` keeps the
+pivots between batches of columns, so a solve can grow its matrix until
+the right-hand side lies in its span; ``f2_solve`` is its one-batch case.
 """
 
 from __future__ import annotations
@@ -101,9 +102,17 @@ def f2_rank(matrix):
     return rank_from_entries(matrix.rows, matrix.cols, matrix.entries)
 
 
-def rank_from_entries(rows, cols, entries):
-    """f2_rank without building the dataclass; entries are pairs or an array."""
-    return len(_extend({}, _columns(_distinct(entries)), tagged=False))
+def rank_from_entries(rows, cols, entries, pivot_rows=None):
+    """f2_rank without building the dataclass; entries are pairs or an array.
+
+    If ``pivot_rows`` is a list, the top row of each reduced pivot column is
+    appended to it, in no particular order: each is the highest row of a
+    nonzero sum of columns, and they are distinct, one per unit of rank.
+    """
+    pivots = _extend({}, _columns(_distinct(entries)), tagged=False)
+    if pivot_rows is not None:
+        pivot_rows.extend(top - 1 for top in pivots)
+    return len(pivots)
 
 
 class ColumnSpan:

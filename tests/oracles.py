@@ -5,7 +5,9 @@ Python, and serves the tests as an oracle for
 ``homology.generators_with_alexander``, ``homology.enumerate_fibers``,
 ``homology.slice_boundary``, ``floer.rectangles``, ``floer.differential``,
 ``floer.grade_array`` and the tilde verdict of ``homology.class_vanishes``;
-``dense_rank`` is the dense oracle for the ranks of ``linalg``.
+``dense_rank`` is the dense oracle for the ranks of ``linalg``, and
+``full_block_ranks`` ranks every column of every boundary block, for the
+cleared reduction of ``homology._fiber_ranks``.
 """
 
 import itertools
@@ -14,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from gridhfk.floer import bigrading, grading_tables
-from gridhfk.linalg import SparseF2Matrix, f2_solve
+from gridhfk.homology import slice_boundary
+from gridhfk.linalg import SparseF2Matrix, f2_solve, rank_from_entries
 
 
 def maslov2_pair(G, state):
@@ -232,3 +235,22 @@ def dense_rank(rows, cols, entries):
         A[mask] ^= A[rank]
         rank += 1
     return rank
+
+
+def full_block_ranks(G, codes, M):
+    """Per-Maslov homology ranks of one Alexander fiber, sorted by (M, code),
+    from the rank of every whole boundary block, with no clearing.  Returns
+    the ranks, the slice sizes and {m: rank of the block out of degree m}."""
+    ms, starts = np.unique(M, return_index=True)
+    groups = dict(zip(ms.tolist(), np.split(codes, starts[1:])))
+    brank = {}
+    for m, src in groups.items():
+        tgt = groups.get(m - 1)
+        if tgt is not None:
+            brank[m] = rank_from_entries(len(tgt), len(src), slice_boundary(G, src, tgt))
+    ranks = {}
+    for m, cs in groups.items():
+        h = len(cs) - brank.get(m, 0) - brank.get(m + 1, 0)
+        if h:
+            ranks[m] = h
+    return ranks, {m: len(cs) for m, cs in groups.items()}, brank

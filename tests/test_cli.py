@@ -254,3 +254,15 @@ def test_bad_threads_exit_2(grid_dir, capsys, threads):
     for argv in (["homology", str(grid_dir / "trefoil.grid")], ["verify", "--battery", "kunneth"]):
         code, out, err = run(capsys, *argv, "--threads", threads)
         assert (code, out, len(err.splitlines()), "workers" in err) == (2, "", 1, True)
+
+
+@pytest.mark.parametrize("battery", ["all", "nonsimple"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_bad_threads_are_refused_before_any_battery(monkeypatch, capsys, battery, threads):
+    def ran(*args):
+        raise AssertionError("a battery ran before --threads was checked")
+
+    for name in ("battery_moves", "battery_kunneth", "battery_nonsimple"):
+        monkeypatch.setattr(cli, name, ran)
+    code, out, err = run(capsys, "verify", "--battery", battery, "--threads", threads)
+    assert (code, out, len(err.splitlines()), "workers" in err) == (2, "", 1, True)

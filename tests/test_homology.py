@@ -107,6 +107,47 @@ def test_pool_has_at_most_one_process_per_fiber(monkeypatch):
     assert sizes == [len(enumerate_fibers(G))]
 
 
+def _clearing_grids():
+    rng = random.Random(3131)
+    grids = [(e.name, e.grid) for e in builtin_entries()]
+    return grids + [(f"random{n}-{k}", random_knot(rng, n)) for n in range(3, 9) for k in range(2)]
+
+
+_CLEARING_GRIDS = _clearing_grids()
+
+
+@pytest.mark.parametrize("name,G", _CLEARING_GRIDS, ids=[name for name, _ in _CLEARING_GRIDS])
+def test_clearing_matches_full_blocks(monkeypatch, name, G):
+    # every fiber: the cleared reduction gives the full blocks' ranks, its
+    # blocks run from the highest Maslov degree down, and block m ranks
+    # all its columns but rank d_{m+1} of them, to the full block's rank
+    calls = []
+
+    def recording(rows, cols, entries, pivot_rows=None):
+        rank = linalg.rank_from_entries(rows, cols, entries, pivot_rows)
+        calls.append((rows, cols, rank))
+        return rank
+
+    monkeypatch.setattr(homology, "rank_from_entries", recording)
+    for codes, M in enumerate_fibers(G).values():
+        calls.clear()
+        ranks, counts = homology._fiber_ranks(G, codes, M)
+        full, full_counts, brank = oracles.full_block_ranks(G, codes, M)
+        assert (ranks, counts) == (full, full_counts)
+        assert calls == [
+            (counts[m - 1], counts[m] - brank.get(m + 1, 0), brank[m])
+            for m in sorted(brank, reverse=True)
+        ]
+
+
+def test_pooled_clearing_matches_full_blocks():
+    G = random_knot(random.Random(3132), homology.POOL_MIN_N)
+    expected = {}
+    for A, (codes, M) in enumerate_fibers(G).items():
+        expected.update({(m, A): d for m, d in oracles.full_block_ranks(G, codes, M)[0].items()})
+    assert tilde_homology(G, workers=2).ranks == expected
+
+
 @pytest.mark.parametrize("workers", [0, -3, 1.5, "2"])
 def test_bad_workers_are_refused(trefoil, workers):
     with pytest.raises(OutOfRange, match="workers"):

@@ -91,21 +91,22 @@ class GradingTables:
         self.weight_span = int(self.weights.max(axis=1).sum()) + 1
 
     @cached_property
-    def fiber_reach(self):
-        """``reach[R, v]``: True when the rows in bitmask R can fill the last
-        |R| columns with total weight v; 2^n x weight_span bytes."""
+    def fiber_counts(self):
+        """``counts[R, v]``: the number of ways the rows in bitmask R can
+        fill the last |R| columns with total weight v, so the last row holds
+        the size of every fiber; 2^n x weight_span int64s."""
         n, w = self.n, self.weights
         masks = np.arange(1 << n)
         size = sum((masks >> j) & 1 for j in range(n))
-        reach = np.zeros((1 << n, self.weight_span), dtype=bool)
-        reach[0, 0] = True
+        counts = np.zeros((1 << n, self.weight_span), dtype=np.int64)
+        counts[0, 0] = 1
         for k in range(1, n + 1):
             layer = masks[size == k]
             for j in range(n):
                 sub = layer[(layer >> j) & 1 == 1]
                 d = w[n - k, j]
-                reach[sub, d:] |= reach[sub ^ (1 << j), : self.weight_span - d]
-        return reach
+                counts[sub, d:] += counts[sub ^ (1 << j), : self.weight_span - d]
+        return counts
 
 
 @lru_cache(maxsize=128)

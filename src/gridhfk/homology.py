@@ -2,9 +2,12 @@
 
 The tilde complex over all n! generators is processed one Alexander grading
 at a time: the differential preserves A, so each fiber is an independent
-chain complex graded by Maslov degree.  ``slice_boundary`` builds each
-boundary block between adjacent Maslov slices in one vectorized pass for
-the homology ranks.  A fiber's blocks are ranked from the highest Maslov
+chain complex graded by Maslov degree.  A counting table sizes every fiber
+against the budget first; then one frontier sweep over the columns lists
+all the fibers together, carrying each partial generator's weight and
+Maslov grading along (``enumerate_fibers``).  ``slice_boundary`` builds
+each boundary block between adjacent Maslov slices in one vectorized pass
+for the homology ranks.  A fiber's blocks are ranked from the highest Maslov
 degree down, with clearing: a column of d_m whose generator tops a reduced
 pivot of d_{m+1} reduces to zero, so it is dropped before the block is
 built, and about half the columns never get rectangles or a bitset
@@ -86,82 +89,134 @@ def _find(sorted_codes, codes):
 
 
 def enumerate_fibers(G):
-    """All n! generators bucketed by Alexander grading.
+    """All n! generators bucketed by Alexander grading, in one sweep.
 
-    Lists each fiber the grid's weight table allows with
-    ``generators_with_alexander``, so each is held to the slice budget.
-    Before listing any, refuses a grid whose n! generators cannot fit in its
-    Alexander range under the budget: then some fiber must exceed it.
-    Returns {A: (codes, M)} in increasing A, with codes the byte codes of the
-    generators and M the matching Maslov gradings; entries sorted by
-    (M, code) for determinism.
+    The size of every fiber is read off the grid's counting table first, so
+    a grid is refused before any generator is listed: when its n!
+    generators cannot fit in its Alexander range under the slice budget,
+    when a fiber exceeds the budget, or when the integer fibers miss
+    generators (a link grid).  Then one frontier sweep lists every
+    generator with its weight sum and Maslov grading (``_sweep``), and one
+    stable sort by (A, M) splits them into fibers.  Returns {A: (codes, M)}
+    in increasing A, with codes the byte codes of the generators and M the
+    matching Maslov gradings; entries sorted by (M, code) for determinism.
     """
+    n = G.n
     t = grading_tables(G)
-    shift = t.weight_base + t.JOO - t.JXX - (G.n - 1)  # doubled A of weight 0
+    shift = t.weight_base + t.JOO - t.JXX - (n - 1)  # doubled A of weight 0
     span = range((shift + 1) // 2, (shift + t.weight_span + 1) // 2)
     cap = max_slice_budget()
-    if len(span) and factorial(G.n) > cap * len(span):
+    if len(span) and factorial(n) > cap * len(span):
         raise BudgetExceeded(
-            f"{factorial(G.n)} generators over {len(span)} Alexander fibers for n={G.n}:"
+            f"{factorial(n)} generators over {len(span)} Alexander fibers for n={n}:"
             f" some fiber exceeds budget {cap}"
         )
-    fibers = {}
-    for a in span:
-        P = generators_with_alexander(G, a)
-        if len(P):
-            M, _ = grade_array(G, P)
-            order = np.argsort(M, kind="stable")  # the lister's rows come in code order
-            fibers[a] = (_encode(P)[order], M[order])
-    if sum(len(codes) for codes, _ in fibers.values()) != factorial(G.n):
+    weights = [2 * a - shift for a in span]
+    sizes = _fiber_counts(G)[-1, weights].tolist()
+    if sum(sizes) != factorial(n):
         raise AsymmetricResult("integer Alexander fibers miss generators: a link grid?")
-    return fibers
+    for a, size in zip(span, sizes):
+        if size > cap:
+            raise BudgetExceeded(f"fiber A={a}: {size} generators exceed budget {cap}")
+    states, weight, M = _sweep(G)
+    # the sweep lists in code order, so a stable sort by weight, then M,
+    # leaves each fiber in (M, code) order
+    low = M.min()
+    key = weight * (M.max() - low + 1) + (M - low)
+    order = np.argsort(key.astype(np.min_scalar_type(key.max())), kind="stable")
+    codes, M = _encode(states)[order], M[order]
+    return {
+        a: (codes[end - size : end], M[end - size : end])
+        for a, size, end in zip(span, sizes, itertools.accumulate(sizes))
+        if size
+    }
 
 
 def generators_with_alexander(G, A):
     """Generators in one Alexander fiber, as an (N x n) int8 array.
 
-    Branch-and-bound over columns on a whole frontier of partial states at
-    once.  A partial state survives only if its unused rows can still fill
-    the remaining columns with the missing weight (an exact test, from the
-    grid's reach table), so every frontier is at most the size of the fiber.
-    Each column's frontier is checked against the slice budget before it is
-    allocated: a fiber over budget fails fast instead of being listed.  The
-    reach table is refused first if it exceeds max(budget, default budget)
-    x n bytes, which no table for n <= 16 comes near, so below that size
-    only the fiber decides.  Rows come out in lexicographic order.
+    The fiber's size is read off the counting table and held to the slice
+    budget before anything is listed; then ``_sweep`` lists it, pruned to
+    its one weight.  Rows come out in lexicographic order.
     """
     n = G.n
     t = grading_tables(G)
     cap = max_slice_budget()
-    table = (1 << n) * t.weight_span
-    if table > max(cap, DEFAULT_MAX_SLICE) * n:
-        raise BudgetExceeded(
-            f"fiber search table of {table} bytes for n={n} exceeds"
-            f" {max(cap, DEFAULT_MAX_SLICE)} x {n} bytes"
-        )
-    need = 2 * A - (t.JOO - t.JXX - (n - 1)) - t.weight_base  # weight still missing
-    reach = t.fiber_reach
-    full = (1 << n) - 1
-    if not (0 <= need < t.weight_span and reach[full, need]):
+    counts = _fiber_counts(G)
+    need = 2 * A - (t.JOO - t.JXX - (n - 1)) - t.weight_base  # the fiber's weight sum
+    size = int(counts[-1, need]) if 0 <= need < t.weight_span else 0
+    if size > cap:
+        raise BudgetExceeded(f"fiber A={A}: {size} generators exceed budget {cap}")
+    if not size:
         return np.zeros((0, n), dtype=np.int8)
-    bits = 1 << np.arange(n, dtype=np.int32)
+    return _sweep(G, need)[0]
+
+
+def _fiber_counts(G):
+    """The grid's fiber counting table (``GradingTables.fiber_counts``),
+    refused before it is built if its bytes exceed max(budget, default
+    budget) x n, which no table for n <= 14 comes near."""
+    n = G.n
+    t = grading_tables(G)
+    cap = max(max_slice_budget(), DEFAULT_MAX_SLICE)
+    table = 8 * (1 << n) * t.weight_span
+    if table > cap * n:
+        raise BudgetExceeded(
+            f"fiber search table of {table} bytes for n={n} exceeds {n} bytes per generator"
+            f" of budget {cap}"
+        )
+    return t.fiber_counts
+
+
+@lru_cache(maxsize=None)
+def _row_tables(n):
+    """Per bitmask of used rows: its unused rows in increasing order (then
+    the used ones), and for each row v the number of used rows below v."""
+    used = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    free = np.argsort(used, axis=1, kind="stable").astype(np.int8)
+    below = (np.cumsum(used, axis=1) - used).astype(np.int8)
+    return free, below
+
+
+def _sweep(G, need=None):
+    """Generators of G in lexicographic order, listed column by column on a
+    whole frontier of partial states at once.
+
+    Each partial state carries its rows-used bitmask, its Alexander weight
+    sum and its Maslov part: the non-inversions each new point adds (the
+    used rows below it) minus its ``FO`` term.  With ``need`` None every
+    permutation is listed; otherwise only those of weight sum ``need``, a
+    partial state surviving only while its unused rows can still fill the
+    remaining columns with the missing weight (the counting table, which
+    the caller has held to its budget, says how many ways), so no frontier
+    is larger than the fiber.  Returns the (N x n) int8 states, their
+    weight sums and their Maslov gradings.
+    """
+    n = G.n
+    t = grading_tables(G)
+    free, below = _row_tables(n)
+    fo = t.FO.astype(np.int16)
+    full = (1 << n) - 1
     states = np.zeros((1, 0), dtype=np.int8)
-    need = np.array([need], dtype=np.int16)
     used = np.zeros(1, dtype=np.int32)  # bitmask of rows taken
+    weight = np.zeros(1, dtype=np.int16)
+    maslov = np.zeros(1, dtype=np.int16)
     for i in range(n):
-        rest = need[:, None] - t.weights[i]  # below weight_span, as need is
-        taken = used[:, None] | bits
-        ok = (taken != used[:, None]) & (rest >= 0) & reach[full ^ taken, np.maximum(rest, 0)]
-        size = int(np.count_nonzero(ok))
-        if size > cap:
-            raise BudgetExceeded(
-                f"fiber A={A}: {size} partial generators at column {i + 1} exceed budget {cap}"
-            )
-        rows, cols = np.nonzero(ok)
-        states = np.column_stack([states[rows], cols.astype(np.int8)])
-        need = rest[rows, cols]
-        used = taken[rows, cols]
-    return states
+        rows = free[:, : n - i][used]  # [state, k]: the k-th unused row
+        grown = np.empty(rows.shape + (i + 1,), dtype=np.int8)
+        grown[:, :, :i] = states[:, None]
+        grown[:, :, i] = rows
+        maslov = maslov[:, None] + below[used[:, None], rows] - fo[i, rows]
+        weight = weight[:, None] + t.weights[i, rows]
+        used = used[:, None] | (1 << rows.astype(np.int32))
+        states = grown.reshape(-1, i + 1)
+        maslov, weight, used = maslov.ravel(), weight.ravel(), used.ravel()
+        if need is not None:
+            rest = need - weight
+            ok = rest >= 0
+            ok[ok] = t.fiber_counts[full ^ used[ok], rest[ok]] > 0
+            states, maslov, weight, used = states[ok], maslov[ok], weight[ok], used[ok]
+    return states, weight, maslov + np.int64(t.JOO + 1)
 
 
 # -- tilde boundary blocks -------------------------------------------------------
@@ -171,16 +226,17 @@ def slice_boundary(G, src_codes, tgt_codes):
     """Boundary block of the fully blocked differential between two slices.
 
     ``src_codes`` are the byte codes of the sources (columns), ``tgt_codes``
-    the sorted codes of the target slice (rows).  Returns the sorted (nnz x 2)
+    the sorted codes of the target slice (rows).  Returns the (nnz x 2)
     int64 array of (row, col) positions hit by an odd number of empty
-    rectangles that miss every marker.
+    rectangles that miss every marker, each once and sorted by (col, row),
+    as the rank's column reduction reads them.
     """
     S = _decode(src_codes, G.n)
     x, _, _, _, T = rectangles(G, S, grading_tables(G).gap)
     rows, hit = _find(tgt_codes, _encode(T))
-    keys, counts = np.unique(rows[hit] * len(S) + x[hit], return_counts=True)
+    keys, counts = np.unique(x[hit] * len(tgt_codes) + rows[hit], return_counts=True)
     keys = keys[counts % 2 == 1]
-    return np.stack([keys // len(S), keys % len(S)], axis=1)
+    return np.stack([keys % len(tgt_codes), keys // len(tgt_codes)], axis=1)
 
 
 def _fiber_ranks(G, codes, M):

@@ -43,10 +43,15 @@ class SparseF2Matrix:
 
 
 def _distinct(entries):
-    """The positions sorted by (col, row), each once, as an (nnz x 2) array."""
+    """The positions sorted by (col, row), each once, as an (nnz x 2) array.
+    Positions already so, as ``slice_boundary`` gives them, are checked in
+    one pass and not sorted again."""
     e = _as_array(entries)
-    e = e[np.lexsort(e.T)]
-    return e[np.diff(e, axis=0, prepend=-1).any(axis=1)]
+    step = np.diff(e, axis=0)
+    if not ((step[:, 1] > 0) | ((step[:, 1] == 0) & (step[:, 0] > 0))).all():
+        e = e[np.lexsort(e.T)]
+        e = e[np.diff(e, axis=0, prepend=-1).any(axis=1)]
+    return e
 
 
 def _columns(e):

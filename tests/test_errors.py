@@ -29,6 +29,7 @@ from gridhfk import f2poly
 from gridhfk.cli import main
 from gridhfk.errors import ConfigError
 from gridhfk.homology import enumerate_fibers, max_slice_budget
+from gridhfk.invariants import iterated_connect_sum
 
 from conftest import random_knot
 
@@ -135,13 +136,19 @@ def test_reduction_bitsets_are_held_to_the_budget(monkeypatch):
     assert class_vanishes(G, [x_plus(G)]) == "Survives"
 
 
-def test_fiber_table_over_budget_is_refused():
+def test_fiber_table_over_budget_is_refused(monkeypatch, trefoil):
     # the exact pruning table of a 24x24 grid would take 2^24 rows
+    monkeypatch.delenv("GRIDHFK_MAX_SLICE", raising=False)
     G = random_knot(random.Random(24), 24)
     start = time.perf_counter()
     with pytest.raises(BudgetExceeded, match="fiber search table"):
         generators_with_alexander(G, 0)
     assert time.perf_counter() - start < 1.0
+    # its cells are counted at their 8 bytes: the 19x19 sum of three
+    # trefoils needs 2^19 x 49 counts, over 19 bytes per generator of budget
+    G = iterated_connect_sum([trefoil] * 3)
+    with pytest.raises(BudgetExceeded, match="table of 205520896 bytes for n=19 .* budget 5000000$"):
+        generators_with_alexander(G, 0)
 
 
 def test_unknown_flavor_is_typed_error(trefoil):

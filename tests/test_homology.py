@@ -354,10 +354,10 @@ def test_budget_guard(monkeypatch):
     class Listed(Exception):
         pass
 
-    def lister(G, A):
-        raise Listed(A)
+    def lister(G, need=None):
+        raise Listed(need)
 
-    monkeypatch.setattr(homology, "generators_with_alexander", lister)
+    monkeypatch.setattr(homology, "_sweep", lister)
     start = time.perf_counter()
     with pytest.raises(BudgetExceeded, match="12 Alexander fibers"):
         tilde_homology(G)
@@ -365,14 +365,44 @@ def test_budget_guard(monkeypatch):
     monkeypatch.setenv("GRIDHFK_MAX_SLICE", str(39_916_800 - 1))
     with pytest.raises(BudgetExceeded, match="12 Alexander fibers"):
         tilde_homology(G)
+    # at 12!/12 the fibers are not all equal, so the largest exceeds the
+    # budget: its exact size comes from the counting table, before any
+    # state is listed
     monkeypatch.setenv("GRIDHFK_MAX_SLICE", str(39_916_800))
-    with pytest.raises(Listed):
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=r"fiber A=-?\d+: \d+ generators exceed budget 39916800$"):
         tilde_homology(G)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_homology_lists_no_fiber_one_at_a_time(monkeypatch):
+    # the one sweep lists every fiber: the per-fiber lister is never called,
+    # and the reports are the ones it gave, serial at 7x7 and pooled at 8x8
+    def lister(G, A):
+        raise AssertionError(f"listed fiber A={A} on its own")
+
+    monkeypatch.setattr(homology, "generators_with_alexander", lister)
+    G = random_knot(random.Random(31), 7)
+    assert tilde_homology(G).to_json() == (
+        '{"alexander_mod2": "T^-1 + 1 + T", "hat_poincare": "t^-1 + q + q^2 t", "poincare":'
+        ' "q^-6 t^-7 + 7 q^-5 t^-6 + 22 q^-4 t^-5 + 41 q^-3 t^-4 + 50 q^-2 t^-3 + 41 q^-1 t^-2'
+        ' + 22 t^-1 + 7 q + q^2 t", "ranks": [[-6, -7, 1], [-5, -6, 7], [-4, -5, 22],'
+        ' [-3, -4, 41], [-2, -3, 50], [-1, -2, 41], [0, -1, 22], [1, 0, 7], [2, 1, 1]]}'
+    )
+    G = random_knot(random.Random(11), 8)
+    assert tilde_homology(G, workers=2).to_json() == (
+        '{"alexander_mod2": "T^-2 + T^-1 + 1 + T + T^2", "hat_poincare": "t^-2 + q t^-1 + q^2'
+        ' + q^3 t + q^4 t^2", "poincare": "q^-7 t^-9 + 8 q^-6 t^-8 + 29 q^-5 t^-7 + 64 q^-4'
+        ' t^-6 + 99 q^-3 t^-5 + 119 q^-2 t^-4 + 119 q^-1 t^-3 + 99 t^-2 + 64 q t^-1 + 29 q^2'
+        ' + 8 q^3 t + q^4 t^2", "ranks": [[-7, -9, 1], [-6, -8, 8], [-5, -7, 29], [-4, -6, 64],'
+        ' [-3, -5, 99], [-2, -4, 119], [-1, -3, 119], [0, -2, 99], [1, -1, 64], [2, 0, 29],'
+        ' [3, 1, 8], [4, 2, 1]]}'
+    )
 
 
 def test_budget_refuses_exactly_the_largest_fiber(monkeypatch, figure_eight, cinquefoil):
     # also for n <= 5, where the fiber search table outweighs budget x n
-    # bytes: the trefoil's largest fiber holds 46 generators, its table 416
+    # bytes: the trefoil's largest fiber holds 46 generators, its table 3,328
     rng = random.Random(6767)
     small = [e.grid for e in builtin_entries() if e.grid.n <= 5]
     grids = small + [random_knot(rng, n) for n in (3, 4, 5)]

@@ -142,6 +142,11 @@ def test_rank_of_every_boundary_block_matches_dense_oracle(name, G):
             block = slice_boundary(G, src, tgt)
             expected = dense_rank(len(tgt), len(src), block.tolist())
             assert rank_from_entries(len(tgt), len(src), block) == expected
+            # each block comes sorted by (col, row) with no repeats, so the
+            # rank reads it as it is, without a sorted copy
+            assert (block == block[np.lexsort(block.T)]).all()
+            assert len(np.unique(block, axis=0)) == len(block)
+            assert np.shares_memory(linalg._distinct(block), block) or not len(block)
 
 
 def test_unsorted_repeated_positions_count_once():
@@ -153,6 +158,9 @@ def test_unsorted_repeated_positions_count_once():
         rng.shuffle(listed)
         shuffled = np.array(listed, dtype=np.int64).reshape(-1, 2)
         assert rank_from_entries(rows, cols, shuffled) == dense_rank(rows, cols, entries)
+        # sorted by (col, row) but with repeats: still each once
+        repeated = shuffled[np.lexsort(shuffled.T)]
+        assert rank_from_entries(rows, cols, repeated) == dense_rank(rows, cols, entries)
         b = _apply(SparseF2Matrix(rows, cols, entries), [rng.randint(0, 1) for _ in range(cols)])
         x = f2_solve(SparseF2Matrix(rows, cols, shuffled), b)
         assert x is not None and _apply(SparseF2Matrix(rows, cols, entries), x) == b

@@ -11,6 +11,7 @@ from .errors import (
     CornerConditionUnmet,
     DimensionMismatch,
     DivisionInexact,
+    EulerMismatch,
     GridError,
     IllegalCommutation,
     MarkerCollision,
@@ -37,7 +38,6 @@ from .homology import (
     HomologyReport,
     alexander_polynomial,
     class_vanishes,
-    generating_function_mod2,
     generators_with_alexander,
     tilde_homology,
 )

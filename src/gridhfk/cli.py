@@ -22,6 +22,7 @@ from .homology import (
     POOL_MIN_N,
     alexander_polynomial,
     check_workers,
+    exponents_mod2,
     format_qt,
     format_t,
     tilde_homology,
@@ -148,7 +149,7 @@ def cmd_connsum(args):
 
 def cmd_alex(args):
     G = _load(args.file)
-    print(format_t(alexander_polynomial(G)))
+    print(format_t(exponents_mod2(alexander_polynomial(G))))
     return EXIT_OK
 
 

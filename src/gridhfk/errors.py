@@ -60,7 +60,13 @@ class DivisionInexact(GridError):
 
 
 class AsymmetricResult(GridError):
-    """The Alexander polynomial came out asymmetric; signals a grading bug."""
+    """The Alexander polynomial came out asymmetric, or with Delta(1) other
+    than +-1; signals a grading bug."""
+
+
+class EulerMismatch(GridError):
+    """The hat table's graded Euler characteristic is not the Alexander
+    polynomial; signals a rank or grading bug."""
 
 
 class NotACycle(GridError):

@@ -20,10 +20,12 @@ cycle's own connected component of the boundary between two slices, grown
 from the cycle with the rectangles into it (``incoming``) and out of what
 it reaches, and is exact when a preimage checks or the component closes.
 
-The Alexander polynomial comes from a different route entirely: mod 2 the
-generating function sum_x T^A(x) is the determinant of the matrix of
-per-point grading contributions (permanent = determinant over F2), which
-stays cheap far beyond enumeration range.
+The Alexander polynomial comes from a different route entirely: over Z
+the determinant of the n x n matrix of T^(per-point Alexander weight) is
++-T^k (1 - T)^(n-1) Delta_K(T) (Manolescu-Ozsvath-Sarkar), which stays
+cheap far beyond enumeration range.  Every homology report is checked
+against it: the graded Euler characteristic of the hat table must be
+Delta_K exactly (Ozsvath-Szabo), not only mod 2.
 """
 
 from __future__ import annotations
@@ -37,9 +39,8 @@ from math import factorial
 
 import numpy as np
 
-from . import f2poly
 from .errors import AsymmetricResult, BudgetExceeded, ConfigError, DivisionInexact
-from .errors import MultiComponent, NotACycle, OutOfRange
+from .errors import EulerMismatch, MultiComponent, NotACycle, OutOfRange
 from .floer import FLAVORS, bigrading, differential, grade_array, grading_tables, rectangles
 from .grid import GridDiagram, component_count
 from .linalg import ColumnSpan, SparseF2Matrix, f2_solve, rank_from_entries
@@ -356,48 +357,72 @@ def format_t(exps, var="T"):
 # -- Alexander polynomial ------------------------------------------------------
 
 
-def generating_function_mod2(G):
-    """Exponent set of sum_x T^A(x) mod 2, via an F2[T] determinant.
-
-    Mod 2 the permanent equals the determinant, so the full generating
-    function over n! generators reduces to an n x n polynomial determinant.
-    """
-    t = grading_tables(G)
-    det = f2poly.determinant([[1 << w for w in row] for row in t.weights.tolist()])
-    if det == 0:
-        raise AsymmetricResult("generating function vanished mod 2")
-    offset = t.weight_base + t.JOO - t.JXX - (G.n - 1)
-    exps2 = [e + offset for e in range(det.bit_length()) if det >> e & 1]
-    if any(a2 % 2 for a2 in exps2):
-        raise AsymmetricResult("odd doubled Alexander exponent")
-    return {a2 // 2 for a2 in exps2}
-
-
 def alexander_polynomial(G):
-    """Symmetrized Alexander polynomial mod 2, as an exponent set in T.
+    """The symmetrized Alexander polynomial Delta_K, as {A: coefficient}.
 
-    Divides the generator generating function exactly by (1-T)^(n-1) over F2
-    and insists on T <-> T^-1 symmetry; failures of either signal a grading
-    bug and surface as exceptions.
+    Over Z the matrix of point weights T^w has determinant
+    sum_x sign(x) T^w(x), which is +-T^k (1 - T)^(n-1) Delta_K(T)
+    (Manolescu-Ozsvath-Sarkar).  Each T^w is packed as the integer
+    2^(b w) and the determinant is taken of those plain ints; no
+    coefficient exceeds n! in absolute value, so with 2^(b-1) > n! the
+    coefficients are its balanced base-2^b digits.  The weights are
+    doubled Alexander gradings, so every digit of the other parity must be
+    0.  The quotient by (1 - T)^(n-1) must be exact, Delta(1) = +-1 fixes
+    the sign and Delta must be symmetric; each failure signals a grading
+    bug and surfaces as a typed error.
     """
-    gen = generating_function_mod2(G)
-    lo = min(gen)
-    p = 0
-    for e in gen:
-        p |= 1 << (e - lo)
-    q = f2poly.exact_div(p, f2poly.pow_poly(0b11, G.n - 1))
-    # The blocked factor in this normalization is 1 + T^-1, a unit multiple
-    # of 1 - T mod 2; the extra T^(n-1) recenters the symmetric representative.
-    exps = set()
-    e = 0
-    while q:
-        if q & 1:
-            exps.add(e + lo + G.n - 1)
-        q >>= 1
-        e += 1
-    if exps != {-e for e in exps}:
-        raise AsymmetricResult(f"Alexander polynomial not symmetric: {sorted(exps)}")
-    return exps
+    if component_count(G) != 1:
+        raise MultiComponent("the Alexander polynomial requires a single-component grid")
+    n = G.n
+    t = grading_tables(G)
+    b = factorial(n).bit_length() + 1
+    det = _determinant([[1 << (b * w) for w in row] for row in t.weights.tolist()])
+    digits = []
+    while det:
+        d = det & ((1 << b) - 1)
+        if d >> (b - 1):
+            d -= 1 << b
+        digits.append(d)
+        det = (det - d) >> b
+    # digit e is the coefficient of T^((e + offset) / 2)
+    offset = t.weight_base + t.JOO - t.JXX - (n - 1)
+    if any(digits[1 - offset % 2 :: 2]):
+        raise AsymmetricResult("odd doubled Alexander exponent")
+    poly = digits[offset % 2 :: 2]
+    while poly and not poly[0]:
+        poly.pop(0)
+    for _ in range(n - 1):
+        poly = list(itertools.accumulate(poly))  # the quotient by 1 - T, with p(1) last
+        if poly and poly.pop():
+            raise DivisionInexact(f"generating function not divisible by (1 - T)^{n - 1}")
+    unit = sum(poly)
+    if unit not in (1, -1) or poly != poly[::-1]:
+        raise AsymmetricResult(f"Alexander polynomial {poly} not symmetric with Delta(1) = +-1")
+    return {k - len(poly) // 2: unit * c for k, c in enumerate(poly) if c}
+
+
+def _determinant(m):
+    """Determinant of a square matrix of Python ints, up to sign (Bareiss):
+    each entry stays a minor, so every division is exact."""
+    n = len(m)
+    prev = 1
+    for k in range(n):
+        if not m[k][k]:
+            i = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if i is None:
+                return 0
+            m[k], m[i] = m[i], m[k]
+        pivot, top = m[k][k], m[k]
+        for i in range(k + 1, n):
+            row, f = m[i], m[i][k]
+            m[i] = [0] * (k + 1) + [(pivot * row[j] - f * top[j]) // prev for j in range(k + 1, n)]
+        prev = pivot
+    return m[n - 1][n - 1]
+
+
+def exponents_mod2(poly):
+    """Exponent set of an integer polynomial {A: coefficient} reduced mod 2."""
+    return {a for a, c in poly.items() if c % 2}
 
 
 # -- reports -------------------------------------------------------------------
@@ -419,12 +444,16 @@ class HomologyReport:
             out[a] = out.get(a, 0) + d
         return out
 
-    def euler_characteristic_exponents_mod2(self):
-        """Exponent set of sum (-1)^M hat rank * T^A reduced mod 2."""
+    def euler_characteristic(self):
+        """sum (-1)^M hat rank * T^A, as {A: coefficient}, zeros dropped."""
         acc = {}
         for (m, a), d in self.hat_poincare.items():
-            acc[a] = (acc.get(a, 0) + d) % 2
-        return {a for a, v in acc.items() if v}
+            acc[a] = acc.get(a, 0) + (-d if m % 2 else d)
+        return {a: c for a, c in acc.items() if c}
+
+    def euler_characteristic_exponents_mod2(self):
+        """Exponent set of the Euler characteristic reduced mod 2."""
+        return exponents_mod2(self.euler_characteristic())
 
     def to_json(self):
         return json.dumps(
@@ -453,7 +482,9 @@ def tilde_homology(G, workers=None):
     Alexander fibers are independent; with ``workers`` > 1 and n at least
     ``POOL_MIN_N`` they are reduced in a pool of at most one process per
     fiber and merged in grading order, so output never depends on the
-    worker count.  ``workers`` is None or a positive int.
+    worker count.  ``workers`` is None or a positive int.  The hat table's
+    Euler characteristic must equal ``alexander_polynomial``, coefficient
+    by coefficient, or ``EulerMismatch`` is raised.
     """
     check_workers(workers)
     if component_count(G) != 1:
@@ -475,12 +506,20 @@ def tilde_homology(G, workers=None):
         for m, d in fiber_ranks.items():
             ranks[(m, A)] = d
     hat = hat_from_tilde(ranks, G.n)
-    return HomologyReport(
+    delta = alexander_polynomial(G)
+    report = HomologyReport(
         ranks=ranks,
-        alexander_mod2=alexander_polynomial(G),
+        alexander_mod2=exponents_mod2(delta),
         hat_poincare=hat,
         generator_counts=gen_counts,
     )
+    chi = report.euler_characteristic()
+    if chi != delta:
+        raise EulerMismatch(
+            f"hat Euler characteristic {sorted(chi.items())} differs from the Alexander"
+            f" polynomial {sorted(delta.items())}"
+        )
+    return report
 
 
 # -- cycle vanishing -----------------------------------------------------------

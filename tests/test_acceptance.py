@@ -2,6 +2,7 @@
 pass/fail line for each.  Budgets are asserted where the criterion states a
 runtime."""
 
+import collections
 import itertools
 import os
 import random
@@ -14,12 +15,10 @@ from gridhfk import (
     classical_invariants,
     connect_sum,
     differential,
-    generating_function_mod2,
     lambda_status,
     nonsimplicity_pipeline,
     tilde_homology,
 )
-from gridhfk import f2poly
 from gridhfk.cli import battery_kunneth, battery_moves, battery_nonsimple
 from gridhfk.corpus import builtin_entries, get, load_directory
 from gridhfk.homology import alexander_polynomial
@@ -120,36 +119,50 @@ def test_criterion_6_sl_additivity():
 
 
 def criterion_7_family():
-    """Corpus grids, the grids criterion 4's battery draws and stabilizes,
-    and criterion 5's three sums."""
+    """Corpus grids and the grids criterion 4's battery draws and
+    stabilizes from them, each mapped to its corpus grid; and criterion 5's
+    three sums, each mapped to its two summands."""
     rng = random.Random(1105)
-    grids = []
+    family = {}
     for entry in builtin_entries():
         G = entry.grid
-        grids.append(G)
+        grids = [G]
         grids += [random_move_sequence(G, rng.randint(1, 8), rng)[1] for _ in range(200)]
         grids += [apply_move(G, stabilize(t, 1, G.sigma_X[0])) for t in ("X:NE", "X:SW")]
+        family.update((H, G) for H in grids)
     U_o, U_x, T_o, T_x = (
         get(name).grid for name in ("unknot", "unknot-corner-x", "trefoil", "trefoil-corner-x")
     )
-    return grids + [connect_sum(U_x, U_o), connect_sum(T_x, U_o), connect_sum(T_x, T_o)]
+    sums = {connect_sum(A, B): (A, B) for A, B in ((U_x, U_o), (T_x, U_o), (T_x, T_o))}
+    return family, sums
 
 
 def test_criterion_7_alexander_normalization():
-    # sum_x T^A(x) = Delta * (1-T)^(n-1) mod 2, up to the unit T^-(n-1)
-    # (mod 2 the blocked factor appears as 1 + T^-1); division always exact
-    grids = {G for G in criterion_7_family() if G.n <= 9}
-    assert len(grids) == 697
-    for G in grids:
-        gen = generating_function_mod2(G)
-        alex = alexander_polynomial(G)  # raises DivisionInexact on failure
-        lo = min(alex)
-        delta_bits = sum(1 << (e - lo) for e in alex)
-        blocked = f2poly.mul(delta_bits, f2poly.pow_poly(0b11, G.n - 1))
-        expected = {
-            i + lo - (G.n - 1) for i in range(blocked.bit_length()) if (blocked >> i) & 1
-        }
-        assert gen == expected
+    # the integer determinant divides exactly by (1 - T)^(n-1) on every grid
+    # (alexander_polynomial raises otherwise), and the quotient Delta is a
+    # knot invariant: every grid has its corpus knot's Delta, and a sum has
+    # the product of its summands'
+    family, sums = criterion_7_family()
+    family = {G: K for G, K in family.items() if G.n <= 9}
+    assert len(family.keys() | sums.keys()) == 697
+    trefoil = {-1: 1, 0: -1, 1: 1}
+    expected = {
+        "unknot": {0: 1},
+        "unknot-corner-x": {0: 1},
+        "trefoil": trefoil,
+        "trefoil-corner-x": trefoil,
+        "figure-eight": {-1: -1, 0: 3, 1: -1},
+        "cinquefoil": {-2: 1, -1: -1, 0: 1, 1: -1, 2: 1},
+    }
+    assert {e.name: alexander_polynomial(e.grid) for e in builtin_entries()} == expected
+    delta = {e.grid: expected[e.name] for e in builtin_entries()}
+    for G, K in family.items():
+        assert alexander_polynomial(G) == delta[K]
+    for S, (A, B) in sums.items():
+        product = collections.Counter()
+        for (a, c), (b, d) in itertools.product(delta[A].items(), delta[B].items()):
+            product[a + b] += c * d
+        assert alexander_polynomial(S) == {e: c for e, c in product.items() if c}
 
 
 def test_criterion_8_linear_algebra_oracle():

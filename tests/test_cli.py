@@ -167,6 +167,15 @@ def test_alex(grid_dir, capsys):
     assert out.strip() == "T^-1 + 1 + T"
 
 
+def test_alex_refuses_a_link(tmp_path, capsys):
+    # a two-component grid is refused before the determinant, by name
+    link = tmp_path / "link.grid"
+    link.write_text("n=4\nO=1,2,3,4\nX=2,1,4,3\n")
+    code, out, err = run(capsys, "alex", str(link))
+    assert (code, out) == (2, "")
+    assert err.strip().splitlines() == ["error: the Alexander polynomial requires a single-component grid"]
+
+
 def test_corpus_list(capsys):
     code, out, _ = run(capsys, "corpus", "list")
     assert code == 0

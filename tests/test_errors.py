@@ -2,6 +2,8 @@
 and environment settings fail cleanly."""
 
 import ast
+import dataclasses
+import importlib
 import os
 import random
 import subprocess
@@ -15,17 +17,21 @@ import gridhfk
 from gridhfk import (
     AsymmetricResult,
     BudgetExceeded,
-    DimensionMismatch,
+    DivisionInexact,
+    EulerMismatch,
     GridError,
+    MultiComponent,
     NotPermutation,
     OutOfRange,
+    alexander_polynomial,
     bigrading,
     class_vanishes,
     differential,
     generators_with_alexander,
+    tilde_homology,
     x_plus,
 )
-from gridhfk import f2poly
+from gridhfk import homology
 from gridhfk.cli import main
 from gridhfk.errors import ConfigError
 from gridhfk.homology import enumerate_fibers, max_slice_budget
@@ -74,9 +80,40 @@ def test_package_import_starts_no_pool_machinery():
     assert (out.returncode, out.stdout.strip()) == (0, "[]"), out.stderr
 
 
-def test_determinant_rejects_ragged_matrix():
-    with pytest.raises(DimensionMismatch):
-        f2poly.determinant([[1, 0], [1]])
+def test_alexander_polynomial_failures_are_typed(monkeypatch, trefoil):
+    # a link is refused before the determinant; a determinant that is no
+    # multiple of (1 - T)^(n-1), or whose quotient is not symmetric with
+    # Delta(1) = +-1, signals a grading bug
+    with pytest.raises(MultiComponent, match="single-component"):
+        alexander_polynomial(gridhfk.GridDiagram(4, (1, 2, 3, 4), (2, 1, 4, 3)))
+    real = homology._determinant
+    monkeypatch.setattr(homology, "_determinant", lambda m: real(m) + 1)
+    with pytest.raises(DivisionInexact, match="not divisible"):
+        alexander_polynomial(trefoil)
+    monkeypatch.setattr(homology, "_determinant", lambda m: 2 * real(m))
+    with pytest.raises(AsymmetricResult, match=r"\[2, -2, 2\] not symmetric"):
+        alexander_polynomial(trefoil)
+
+
+def test_planted_hat_error_fails_the_euler_check(monkeypatch, trefoil):
+    # one trefoil hat rank raised by 2 at (M, A) = (1, 0), which the
+    # symmetry (M, A) -> (M - 2A, -A) fixes: the table stays symmetric and
+    # agrees with Delta mod 2, so only the check over Z can refuse it
+    real = homology.hat_from_tilde
+
+    def planted(poincare, n):
+        hat = real(poincare, n)
+        return {**hat, (1, 0): hat[(1, 0)] + 2}
+
+    report = tilde_homology(trefoil)
+    monkeypatch.setattr(homology, "hat_from_tilde", planted)
+    with pytest.raises(EulerMismatch, match="hat Euler characteristic"):
+        tilde_homology(trefoil)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    workloads = importlib.import_module("workloads")
+    wrong = dataclasses.replace(report, hat_poincare=planted(report.ranks, trefoil.n))
+    assert wrong.hat_poincare[(1, 0)] == 3
+    assert workloads.check_homology_report(trefoil.n, wrong) == []
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-5", "1e6", ""])

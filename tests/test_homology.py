@@ -17,12 +17,11 @@ from gridhfk import (
     bigrading,
     class_vanishes,
     differential,
-    generating_function_mod2,
     generators_with_alexander,
     tilde_homology,
     x_plus,
 )
-from gridhfk import f2poly, homology, linalg
+from gridhfk import homology, linalg
 from gridhfk.corpus import builtin_entries
 from gridhfk.errors import OutOfRange, PreimageMismatch
 from gridhfk.floer import grading_tables, rectangles
@@ -58,6 +57,7 @@ def test_trefoil_report(trefoil):
 
 def test_trefoil_euler_characteristic(trefoil):
     rep = tilde_homology(trefoil)
+    assert rep.euler_characteristic() == alexander_polynomial(trefoil) == {-1: 1, 0: -1, 1: 1}
     assert rep.euler_characteristic_exponents_mod2() == rep.alexander_mod2
 
 
@@ -293,14 +293,14 @@ def test_verdict_on_nineteen_columns(trefoil):
 
 
 def test_alexander_trefoil(trefoil):
-    assert alexander_polynomial(trefoil) == {-1, 0, 1}
+    assert alexander_polynomial(trefoil) == {-1: 1, 0: -1, 1: 1}
 
 
 def test_alexander_symmetric(rng):
     for _ in range(20):
         G = random_knot(rng, rng.randint(2, 6))
         alex = alexander_polynomial(G)
-        assert alex == {-e for e in alex}
+        assert alex == {-e: c for e, c in alex.items()} and sum(alex.values()) == 1
 
 
 def test_alexander_invariant_under_cyclic(rng, trefoil):
@@ -310,22 +310,28 @@ def test_alexander_invariant_under_cyclic(rng, trefoil):
     assert alexander_polynomial(G) == alexander_polynomial(trefoil)
 
 
-def test_generating_function_identity(rng):
-    # sum over generators of T^A equals Delta * (1-T)^(n-1) mod 2 up to the
-    # unit T^-(n-1); checked through the polynomial arithmetic helpers.
-    for _ in range(10):
-        G = random_knot(rng, rng.randint(2, 6))
-        gen = generating_function_mod2(G)
-        alex = alexander_polynomial(G)
-        lo = min(alex)
-        delta_bits = sum(1 << (e - lo) for e in alex)
-        blocked = f2poly.mul(delta_bits, f2poly.pow_poly(0b11, G.n - 1))
-        expected = {
-            i + lo - (G.n - 1)
-            for i in range(blocked.bit_length())
-            if (blocked >> i) & 1
-        }
-        assert gen == expected
+def _times_one_minus_inverse(poly, k):
+    """poly * (1 - T^-1)^k for an integer polynomial {A: coefficient}."""
+    for _ in range(k):
+        out = dict(poly)
+        for a, c in poly.items():
+            out[a - 1] = out.get(a - 1, 0) - c
+        poly = {a: c for a, c in out.items() if c}
+    return poly
+
+
+def test_alexander_polynomial_against_enumeration(rng):
+    # Delta(T) (1 - T^-1)^(n-1) is the Euler characteristic of the tilde
+    # complex, sum_x (-1)^M(x) T^A(x) over all n! generators, each graded
+    # on its own by the oracle
+    grids = [entry.grid for entry in builtin_entries()]
+    grids += [random_knot(rng, n) for n in (3, 4, 5, 6, 6, 7, 7)]
+    for G in grids:
+        chi = collections.Counter()
+        for a, fiber in oracles.fibers(G).items():
+            chi[a] += sum((-1) ** (m % 2) for m, _ in fiber)
+        expected = {a: c for a, c in chi.items() if c}
+        assert _times_one_minus_inverse(alexander_polynomial(G), G.n - 1) == expected
 
 
 def test_hat_from_tilde_division_exact(trefoil):

@@ -177,7 +177,7 @@ def test_connect_sum_worked_example():
     S = connect_sum(G1, G2)
     assert S == GridDiagram(3, (2, 1, 3), (1, 3, 2))
     assert component_count(S) == 1
-    assert alexander_polynomial(S) == {0}
+    assert alexander_polynomial(S) == {0: 1}
 
 
 def test_connect_sum_requires_corners(unknot, trefoil):

@@ -5,15 +5,16 @@ at a time: the differential preserves A, so each fiber is an independent
 chain complex graded by Maslov degree.  A counting table sizes every fiber
 against the budget first; then one frontier sweep over the columns lists
 all the fibers together, carrying each partial generator's weight and
-Maslov grading along (``enumerate_fibers``).  ``slice_boundary`` builds
-each boundary block between adjacent Maslov slices in one vectorized pass
-for the homology ranks.  A fiber's blocks are ranked from the highest Maslov
-degree down, with clearing: a column of d_m whose generator tops a reduced
-pivot of d_{m+1} reduces to zero, so it is dropped before the block is
-built, and about half the columns never get rectangles or a bitset
-(``_fiber_ranks``).  Hat-flavor data is recovered by exact division of the
-tilde Poincare polynomial by (1 + q^-1 t^-1)^(n-1); inexact division is a
-hard failure, never papered over.
+Maslov grading along (``enumerate_fibers``).  A fiber's blocks are ranked
+from the highest Maslov degree down, with clearing: a column of d_m whose
+generator tops a reduced pivot of d_{m+1} reduces to zero, so it is dropped
+before the block is built, and about half the columns never get rectangles
+(``_fiber_ranks``).  The fibers go in rounds, the r-th block of each fiber
+in round r, and the small blocks of a round are built together, in one
+vectorized pass (``boundary_blocks``; ``slice_boundary`` is its one-block
+case), but each is ranked on its own.  Hat-flavor data is recovered by
+exact division of the tilde Poincare polynomial by (1 + q^-1 t^-1)^(n-1);
+inexact division is a hard failure, never papered over.
 
 A tilde vanishing verdict lists no fiber: it solves dz = cycle on the
 cycle's own connected component of the boundary between two slices, grown
@@ -54,8 +55,21 @@ SOLVE_BYTES = 200  # bitset bytes a verdict's reduction may hold per budgeted ge
 # serial.  At n = 8 the pool first won (0.14-0.17 s against 0.16-0.26 s),
 # and at 9x9 it took 1.89 s against 3.42 s.  With clearing, which cuts the
 # work of each fiber, it still won or tied at n = 8 (0.10-0.14 s against
-# 0.10-0.16 s) and took the 9x9 from 1.15-1.39 s to 0.94-0.97 s.
+# 0.10-0.16 s) and took the 9x9 from 1.15-1.39 s to 0.94-0.97 s.  With lazy
+# pivots and batched blocks, in seven alternating runs in one process, the
+# pool only ties at n = 8 (0.054-0.073 s pooled against 0.052-0.071 s
+# serial; in another such set it lost, 0.063-0.128 s against 0.055-0.078 s),
+# and it takes the 9x9 from 0.47-0.65 s to 0.37-0.40 s.
 POOL_MIN_N = 8
+# Most kept sources whose boundary blocks are built in one call, across the
+# fibers of a round; a larger block is built alone.  Half of the blocks of a
+# 7x7 complex have at most 16 sources, so per-call numpy overhead dominates
+# them.  On a 2-vCPU Xeon, the median pass of the 7x7 homology benchmark
+# workload (seed 11, twelve alternating passes in one process) took 0.246 s
+# with one block per call, 0.198 s at 256 sources, 0.174 s at 1,024, 0.172 s
+# at 4,096 and 0.172 s at 16,384; the 9x9 sum, whose large blocks run alone,
+# took 0.43-0.48 s at every cap.
+BATCH_SOURCES = 4096
 
 
 def max_slice_budget():
@@ -230,54 +244,116 @@ def slice_boundary(G, src_codes, tgt_codes):
     the sorted codes of the target slice (rows).  Returns the (nnz x 2)
     int64 array of (row, col) positions hit by an odd number of empty
     rectangles that miss every marker, each once and sorted by (col, row),
-    as the rank's column reduction reads them.
+    as the rank's column reduction reads them.  The one-pair case of
+    ``boundary_blocks``.
     """
-    S = _decode(src_codes, G.n)
-    x, _, _, _, T = rectangles(G, S, grading_tables(G).gap)
-    rows, hit = _find(tgt_codes, _encode(T))
-    keys, counts = np.unique(x[hit] * len(tgt_codes) + rows[hit], return_counts=True)
+    return boundary_blocks(G, [(src_codes, tgt_codes)])[0]
+
+
+def _keyed(codes, pair, width, n):
+    """Byte codes prefixed by the big-endian ``width``-byte number of their
+    pair, so that they sort by pair, then by code."""
+    out = np.empty((len(codes), width + n), dtype=np.uint8)
+    out[:, :width] = pair[:, None] >> 8 * np.arange(width - 1, -1, -1)
+    out[:, width:] = _decode(codes, n)
+    return out.view(f"V{width + n}").ravel()
+
+
+def boundary_blocks(G, pairs):
+    """The boundary blocks of several (sources, targets) slice pairs, as
+    ``slice_boundary`` gives each, from one ``rectangles`` call, one target
+    lookup and one parity pass over all their sources.
+
+    A rectangle's target is looked up among its own pair's targets, in
+    one table keyed by (pair, code), and the positions of every pair are
+    numbered together, then split back per pair.
+    """
+    n = G.n
+    srcs, tgts = [p[0] for p in pairs], [p[1] for p in pairs]
+    x, _, _, _, T = rectangles(G, _decode(np.concatenate(srcs), n), grading_tables(G).gap)
+    table, targets = np.concatenate(tgts), _encode(T)
+    if len(pairs) > 1:
+        width, number = ((len(pairs) - 1).bit_length() + 7) // 8, np.arange(len(pairs))
+        table = _keyed(table, np.repeat(number, [len(t) for t in tgts]), width, n)
+        targets = _keyed(targets, np.repeat(number, [len(s) for s in srcs])[x], width, n)
+    rows, hit = _find(table, targets)
+    keys, counts = np.unique(x[hit] * len(table) + rows[hit], return_counts=True)
     keys = keys[counts % 2 == 1]
-    return np.stack([keys % len(tgt_codes), keys // len(tgt_codes)], axis=1)
+    col, row = keys // len(table), keys % len(table)
+    src_at = np.cumsum([0] + [len(s) for s in srcs])
+    tgt_at = np.cumsum([0] + [len(t) for t in tgts])
+    cuts = np.searchsorted(col, src_at).tolist()
+    return [
+        np.stack([row[lo:hi] - tgt_at[k], col[lo:hi] - src_at[k]], axis=1)
+        for k, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
+    ]
 
 
-def _fiber_ranks(G, codes, M):
-    """Per-Maslov homology ranks of one Alexander fiber, sorted by (M, code).
+def _fiber_ranks(G, fibers):
+    """Per-Maslov homology ranks of Alexander fibers, each (codes, M) sorted
+    by (M, code); returns (ranks, slice sizes) for each.
 
-    The blocks are ranked from the highest Maslov degree down, with
-    clearing (Chen-Kerber; PHAT): a reduced column of block m+1 with top
-    row i is a boundary, so d_m of it is 0 and column i of block m is a sum
-    of columns before it.  Such columns are dropped from block m before it
-    is built; by induction the kept ones span what all of them span, so
-    rank d_m is the rank of the kept columns.
+    Each fiber's blocks are ranked from the highest Maslov degree down,
+    with clearing (Chen-Kerber; PHAT): a reduced column of block m+1 with
+    top row i is a boundary, so d_m of it is 0 and column i of block m is a
+    sum of columns before it.  Such columns are dropped from block m before
+    it is built; by induction the kept ones span what all of them span, so
+    rank d_m is the rank of the kept columns.  The fibers go in rounds:
+    round r builds the r-th block from the top of every fiber, in batches
+    of at most ``BATCH_SOURCES`` kept sources (``boundary_blocks``), and a
+    larger block alone; every block is ranked on its own.
     """
-    ms, starts = np.unique(M, return_index=True)
-    groups = dict(zip(ms.tolist(), np.split(codes, starts[1:])))
-    brank = {}  # m -> rank of boundary out of Maslov degree m
-    cleared = {}  # m -> top rows of block m+1's pivots, as columns of block m
-    for m in sorted(groups, reverse=True):
-        tgt = groups.get(m - 1)
-        if tgt is None:
-            continue
-        # the fiber is sorted by (M, code), so C_m is in code order both as
-        # block m's columns and as block m+1's rows: a top row of block m+1
-        # is a column number of block m
-        keep = np.ones(len(groups[m]), dtype=bool)
-        keep[np.asarray(cleared.pop(m, []), dtype=np.int64)] = False
-        src = groups[m][keep]
-        entries = slice_boundary(G, src, tgt)
-        cleared[m - 1] = tops = []
-        brank[m] = rank_from_entries(len(tgt), len(src), entries, tops)
-    ranks = {}
-    for m, cs in groups.items():
-        h = len(cs) - brank.get(m, 0) - brank.get(m + 1, 0)
-        if h:
-            ranks[m] = h
-    return ranks, {m: len(cs) for m, cs in groups.items()}
+    slices, blocks = [], []
+    for codes, M in fibers:
+        ms, starts = np.unique(M, return_index=True)
+        groups = dict(zip(ms.tolist(), np.split(codes, starts[1:])))
+        slices.append(groups)
+        blocks.append([m for m in sorted(groups, reverse=True) if m - 1 in groups])
+    brank = [{} for _ in fibers]  # m -> rank of boundary out of Maslov degree m
+    cleared = [{} for _ in fibers]  # m -> top rows of block m+1's pivots, as columns of block m
+    for r in range(max(map(len, blocks), default=0)):
+        work = []  # (fiber, m, kept sources, targets)
+        for f, groups in enumerate(slices):
+            if r < len(blocks[f]):
+                m = blocks[f][r]
+                # the fiber is sorted by (M, code), so C_m is in code order both
+                # as block m's columns and as block m+1's rows: a top row of
+                # block m+1 is a column number of block m
+                keep = np.ones(len(groups[m]), dtype=bool)
+                keep[np.asarray(cleared[f].pop(m, []), dtype=np.int64)] = False
+                work.append((f, m, groups[m][keep], groups[m - 1]))
+        for batch in _batches(work):
+            for (f, m, src, tgt), entries in zip(batch, boundary_blocks(G, [w[2:] for w in batch])):
+                cleared[f][m - 1] = tops = []
+                brank[f][m] = rank_from_entries(len(tgt), len(src), entries, tops)
+    out = []
+    for groups, b in zip(slices, brank):
+        ranks = {}
+        for m, cs in groups.items():
+            h = len(cs) - b.get(m, 0) - b.get(m + 1, 0)
+            if h:
+                ranks[m] = h
+        out.append((ranks, {m: len(cs) for m, cs in groups.items()}))
+    return out
+
+
+def _batches(work):
+    """Consecutive runs of the blocks in ``work`` with at most
+    ``BATCH_SOURCES`` sources in all, a larger block alone."""
+    batch, size = [], 0
+    for item in work:
+        if batch and size + len(item[2]) > BATCH_SOURCES:
+            yield batch
+            batch, size = [], 0
+        batch.append(item)
+        size += len(item[2])
+    if batch:
+        yield batch
 
 
 def _fiber_worker(args):
     G, A, codes, M = args
-    ranks, counts = _fiber_ranks(G, codes, M)
+    ranks, counts = _fiber_ranks(G, [(codes, M)])[0]
     return A, ranks, counts
 
 
@@ -481,7 +557,8 @@ def tilde_homology(G, workers=None):
 
     Alexander fibers are independent; with ``workers`` > 1 and n at least
     ``POOL_MIN_N`` they are reduced in a pool of at most one process per
-    fiber and merged in grading order, so output never depends on the
+    fiber, one fiber a job, and otherwise all in one ``_fiber_ranks`` call;
+    they are merged in grading order, so output never depends on the
     worker count.  ``workers`` is None or a positive int.  The hat table's
     Euler characteristic must equal ``alexander_polynomial``, coefficient
     by coefficient, or ``EulerMismatch`` is raised.
@@ -500,7 +577,8 @@ def tilde_homology(G, workers=None):
         with ProcessPoolExecutor(max_workers=size) as pool:
             results = list(pool.map(_fiber_worker, jobs))
     else:
-        results = [_fiber_worker(job) for job in jobs]
+        ranked = _fiber_ranks(G, [job[2:] for job in jobs])
+        results = [(job[1], *fiber) for job, fiber in zip(jobs, ranked)]
     for A, fiber_ranks, counts in sorted(results):
         gen_counts[A] = sum(counts.values())
         for m, d in fiber_ranks.items():

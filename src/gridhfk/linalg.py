@@ -2,7 +2,10 @@
 
 Matrices are (row, col) positions, given as pairs or as an (nnz x 2) array;
 rank and solve reduce the columns, as Python-int bitsets over rows (xor at C
-speed), left to right against the pivots so far, keyed by their top bit.
+speed), left to right against the pivots so far, keyed by their top row.
+The pivots are lazy (``_Reduction``): a column whose top row is no pivot's
+yet becomes one as it stands, and its bitset is built only when a later
+reduction reaches it, so most columns of a sparse block never get one.
 ``rank_from_entries`` can also hand back the pivots' top rows, which the
 homology ranks clear from the next block down.  ``ColumnSpan`` keeps the
 pivots between batches of columns, so a solve can grow its matrix until
@@ -11,6 +14,7 @@ the right-hand side lies in its span; ``f2_solve`` is its one-batch case.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,40 +58,79 @@ def _distinct(entries):
     return e
 
 
-def _columns(e):
-    """Yield (col, bitset) for each nonzero column of (row, col) positions
-    grouped by column, as ``_distinct`` gives them, bit r flipped for each
-    listing of row r.  Columns are built as the reduction asks for them, so
-    one that reduces to zero is freed at once."""
-    col, v = None, 0
-    for r, c in zip(*e.T.tolist()):
-        if c != col:
+def _runs(a):
+    """Where each run of equal values of the sorted array ``a`` starts, then
+    len(a)."""
+    edge = np.empty(len(a) + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(a[1:], a[:-1], out=edge[1:-1])
+    return edge.nonzero()[0]
+
+
+def _bitset(rows):
+    """The Python int with bit r set for each of the distinct ``rows``."""
+    v = 0
+    for r in rows:
+        v |= 1 << r
+    return v
+
+
+class _Reduction:
+    """Column reduction over F2, left to right, keyed by top row, with the
+    pivots built lazily.
+
+    A column whose top row is no pivot's yet becomes a pivot as it stands:
+    ``pivots`` ({top row: pivot}) holds only the number of its run of
+    positions, which gives its rows and its column.  Its bitset (and, when
+    ``tagged``, its tag 1 << col, which marks the columns summed into a
+    pivot) is built the first time a reduction reaches it.  Only a column
+    whose top row collides is built and reduced.  The pivots and their top
+    rows are those of the reduction that builds every column, which leaves
+    such a column unreduced too, so ranks and clearing are unchanged.
+    """
+
+    def __init__(self, tagged):
+        self.tagged = tagged
+        self.pivots = {}  # top row -> (bitset, tag), or a run number while not built
+        self._firsts = [0]  # number of the first run of each batch, and of the next
+        self._batches = []  # (rows, run bounds, run columns) of each batch
+
+    def _built(self, run):
+        k = bisect_right(self._firsts, run) - 1
+        rows, bounds, cols = self._batches[k]
+        i = run - self._firsts[k]
+        return _bitset(rows[bounds[i] : bounds[i + 1]]), (1 << cols[i] if self.tagged else 0)
+
+    def reduce(self, v, tag):
+        """Xor pivots into ``v`` and its tag until the top bit of ``v`` is no
+        pivot's."""
+        pivots = self.pivots
+        while v and (p := pivots.get(top := v.bit_length() - 1)) is not None:
+            if type(p) is int:
+                p = pivots[top] = self._built(p)
+            v, tag = v ^ p[0], tag ^ p[1]
+        return v, tag
+
+    def add(self, rows, cols):
+        """Reduce the columns with a 1 at each (rows[k], cols[k]), positions
+        distinct and sorted by (col, row), into the pivots, after every
+        column added before."""
+        bounds = _runs(cols)
+        tops = memoryview(rows[bounds[1:] - 1])
+        # memoryviews: their items and slices are Python ints, made as read
+        rows, bounds, heads = memoryview(rows), memoryview(bounds), memoryview(cols[bounds[:-1]])
+        first = self._firsts[-1]
+        self._batches.append((rows, bounds, heads))
+        self._firsts.append(first + len(tops))
+        pivots, tagged = self.pivots, self.tagged
+        for i, top in enumerate(tops):
+            if top not in pivots:
+                pivots[top] = first + i
+                continue
+            v = _bitset(rows[bounds[i] : bounds[i + 1]])
+            v, tag = self.reduce(v, 1 << heads[i] if tagged else 0)
             if v:
-                yield col, v
-            col, v = c, 0
-        v ^= 1 << r
-    if v:
-        yield col, v
-
-
-def _reduce(v, tag, pivots):
-    """Xor pivots ({top bit: (column, tag)}) into ``v`` and its tag until
-    the top bit of ``v`` is no pivot's."""
-    while v and (p := pivots.get(v.bit_length())):
-        v, tag = v ^ p[0], tag ^ p[1]
-    return v, tag
-
-
-def _extend(pivots, columns, tagged):
-    """Column reduction of (col, bitset) pairs, left to right, into
-    ``pivots`` ({top bit: (reduced column, tag)}), in place.  A ``tagged``
-    column starts with tag 1 << col, so a tag marks the columns summed into
-    it."""
-    for c, v in columns:
-        v, tag = _reduce(v, 1 << c if tagged else 0, pivots)
-        if v:
-            pivots[v.bit_length()] = (v, tag)
-    return pivots
+                pivots[v.bit_length() - 1] = (v, tag)
 
 
 def _bits(tag, cols):
@@ -96,9 +139,10 @@ def _bits(tag, cols):
     return np.unpackbits(x, count=cols, bitorder="little")
 
 
-def _check_preimage(e, x, b):
-    """Raise unless the columns of ``e`` that ``x`` selects sum to ``b``."""
-    if (np.bincount(e[x[e[:, 1]] == 1, 0], minlength=len(b)) & 1 != b).any():
+def _check_preimage(rows, cols, x, b):
+    """Raise unless the columns that ``x`` selects, of the matrix with a 1 at
+    each (rows[k], cols[k]), sum to ``b``."""
+    if (np.bincount(rows[x[cols] == 1], minlength=len(b)) & 1 != b).any():
         raise PreimageMismatch("column reduction returned x with matrix @ x != b")
 
 
@@ -114,10 +158,12 @@ def rank_from_entries(rows, cols, entries, pivot_rows=None):
     appended to it, in no particular order: each is the highest row of a
     nonzero sum of columns, and they are distinct, one per unit of rank.
     """
-    pivots = _extend({}, _columns(_distinct(entries)), tagged=False)
+    e = _distinct(entries)
+    reduction = _Reduction(tagged=False)
+    reduction.add(e[:, 0], e[:, 1])
     if pivot_rows is not None:
-        pivot_rows.extend(top - 1 for top in pivots)
-    return len(pivots)
+        pivot_rows.extend(reduction.pivots)
+    return len(reduction.pivots)
 
 
 class ColumnSpan:
@@ -136,12 +182,12 @@ class ColumnSpan:
         self.cols = 0
         self._rest = sum(1 << r for r in self._b_rows.tolist())
         self._tag = 0
-        self._pivots = {}
-        self._blocks = [np.zeros((0, 2), dtype=np.int64)]
+        self._reduction = _Reduction(tagged=True)
+        self._entries = [(np.zeros(0, dtype=np.int64),) * 2]  # (rows, cols) of each batch
 
     @property
     def rank(self):
-        return len(self._pivots)
+        return len(self._reduction.pivots)
 
     def add(self, rows, cols, entries):
         """Append ``cols`` columns, numbered from the columns so far, and
@@ -152,11 +198,17 @@ class ColumnSpan:
         e = _as_array(entries)
         if len(e) and (e.min() < 0 or e[:, 0].max() >= rows or e[:, 1].max() >= cols):
             raise DimensionMismatch(f"an entry lies outside {rows}x{cols}")
-        e = e[np.argsort(e[:, 1], kind="stable")] + (0, self.cols)
+        # each position an odd number of times, once, sorted by (col, row)
+        keys = np.sort(e[:, 1] * rows + e[:, 0])
+        if (keys[1:] == keys[:-1]).any():
+            runs = _runs(keys)
+            keys = keys[runs[:-1][(runs[1:] - runs[:-1]) % 2 == 1]]
+        c, r = np.divmod(keys, rows)
+        c += self.cols
+        self._reduction.add(r, c)
         self.rows, self.cols = max(self.rows, rows), self.cols + cols
-        self._blocks.append(e)
-        _extend(self._pivots, _columns(e), tagged=True)
-        self._rest, self._tag = _reduce(self._rest, self._tag, self._pivots)
+        self._entries.append((r, c))
+        self._rest, self._tag = self._reduction.reduce(self._rest, self._tag)
         return not self._rest
 
     def preimage(self):
@@ -167,7 +219,7 @@ class ColumnSpan:
         z = _bits(self._tag, self.cols)
         b = np.zeros(self.rows, dtype=np.int64)
         b[self._b_rows] = 1
-        _check_preimage(np.concatenate(self._blocks), z, b)
+        _check_preimage(*map(np.concatenate, zip(*self._entries)), z, b)
         return z
 
 

@@ -5,9 +5,11 @@ Python, and serves the tests as an oracle for
 ``homology.generators_with_alexander``, ``homology.enumerate_fibers``,
 ``homology.slice_boundary``, ``floer.rectangles``, ``floer.differential``,
 ``floer.grade_array`` and the tilde verdict of ``homology.class_vanishes``;
-``dense_rank`` is the dense oracle for the ranks of ``linalg``, and
-``full_block_ranks`` ranks every column of every boundary block, for the
-cleared reduction of ``homology._fiber_ranks``.
+``dense_rank`` is the dense oracle for the ranks of ``linalg``,
+``eager_pivots`` is the column reduction that builds every column's bitset,
+for the lazy pivots of ``linalg``, and ``full_block_ranks`` ranks every
+column of every boundary block, for the cleared reduction of
+``homology._fiber_ranks``.
 """
 
 import itertools
@@ -254,3 +256,32 @@ def full_block_ranks(G, codes, M):
         if h:
             ranks[m] = h
     return ranks, {m: len(cs) for m, cs in groups.items()}, brank
+
+
+def _columns(e):
+    """Yield (col, bitset) for each nonzero column of (row, col) positions
+    grouped by column, bit r flipped for each listing of row r."""
+    col, v = None, 0
+    for r, c in zip(*e.T.tolist()):
+        if c != col:
+            if v:
+                yield col, v
+            col, v = c, 0
+        v ^= 1 << r
+    if v:
+        yield col, v
+
+
+def eager_pivots(e, tagged=False):
+    """Column reduction of the (row, col) positions ``e``, grouped by column,
+    that builds every column's bitset, one Python step per entry, and
+    reduces it left to right.  Returns the pivots, {top row: (reduced
+    column, tag)}; a ``tagged`` column starts with tag 1 << col."""
+    pivots = {}
+    for c, v in _columns(np.asarray(e, dtype=np.int64).reshape(-1, 2)):
+        tag = 1 << c if tagged else 0
+        while v and (p := pivots.get(v.bit_length() - 1)):
+            v, tag = v ^ p[0], tag ^ p[1]
+        if v:
+            pivots[v.bit_length() - 1] = (v, tag)
+    return pivots

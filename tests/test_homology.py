@@ -22,7 +22,7 @@ from gridhfk import (
     x_plus,
 )
 from gridhfk import homology, linalg
-from gridhfk.corpus import builtin_entries
+from gridhfk.corpus import builtin_entries, get
 from gridhfk.errors import OutOfRange, PreimageMismatch
 from gridhfk.floer import grading_tables, rectangles
 from gridhfk.homology import (
@@ -36,6 +36,7 @@ from gridhfk.homology import (
     slice_boundary,
 )
 from gridhfk.invariants import iterated_connect_sum, x_minus
+from gridhfk.moves import connect_sum
 
 import oracles
 from conftest import random_knot
@@ -120,7 +121,9 @@ _CLEARING_GRIDS = _clearing_grids()
 def test_clearing_matches_full_blocks(monkeypatch, name, G):
     # every fiber: the cleared reduction gives the full blocks' ranks, its
     # blocks run from the highest Maslov degree down, and block m ranks
-    # all its columns but rank d_{m+1} of them, to the full block's rank
+    # all its columns but rank d_{m+1} of them, to the full block's rank.
+    # A fiber alone, as a pool job has it, makes exactly its own calls; all
+    # fibers together go in rounds, the r-th block of each fiber in turn
     calls = []
 
     def recording(rows, cols, entries, pivot_rows=None):
@@ -129,15 +132,93 @@ def test_clearing_matches_full_blocks(monkeypatch, name, G):
         return rank
 
     monkeypatch.setattr(homology, "rank_from_entries", recording)
-    for codes, M in enumerate_fibers(G).values():
+    fibers = list(enumerate_fibers(G).values())
+    alone, per_fiber = [], []
+    for codes, M in fibers:
         calls.clear()
-        ranks, counts = homology._fiber_ranks(G, codes, M)
+        alone += homology._fiber_ranks(G, [(codes, M)])
+        ranks, counts = alone[-1]
         full, full_counts, brank = oracles.full_block_ranks(G, codes, M)
         assert (ranks, counts) == (full, full_counts)
-        assert calls == [
-            (counts[m - 1], counts[m] - brank.get(m + 1, 0), brank[m])
-            for m in sorted(brank, reverse=True)
-        ]
+        per_fiber.append(
+            [
+                (counts[m - 1], counts[m] - brank.get(m + 1, 0), brank[m])
+                for m in sorted(brank, reverse=True)
+            ]
+        )
+        assert calls == per_fiber[-1]
+    calls.clear()
+    assert homology._fiber_ranks(G, fibers) == alone
+    rounds = itertools.zip_longest(*per_fiber)
+    assert calls == [c for r in rounds for c in r if c is not None]
+
+
+def _nine_by_nine():
+    return connect_sum(get("trefoil-corner-x").grid, get("trefoil").grid)
+
+
+_BATCH_GRIDS = [(e.name, e.grid, 16) for e in builtin_entries()] + [
+    (f"random{n}", random_knot(random.Random(5150 + n), n), 16) for n in range(3, 9)
+] + [("trefoil-corner-x#trefoil", _nine_by_nine(), 1024)]
+
+
+@pytest.mark.parametrize(
+    "name,G,cap", _BATCH_GRIDS, ids=[name for name, _, _ in _BATCH_GRIDS]
+)
+def test_every_block_of_every_round_matches_slice_boundary(monkeypatch, name, G, cap):
+    # with a small cap, a round's blocks split into several batches and a
+    # larger block runs alone; every block of every batch is the one pair
+    # case of the builder, which is slice_boundary
+    real = homology.boundary_blocks
+    batches = []
+
+    def checked(G, pairs):
+        blocks = real(G, pairs)
+        assert len(blocks) == len(pairs)
+        for (src, tgt), block in zip(pairs, blocks):
+            assert np.array_equal(block, real(G, [(src, tgt)])[0])
+        batches.append([len(src) for src, _ in pairs])
+        return blocks
+
+    monkeypatch.setattr(homology, "BATCH_SOURCES", cap)
+    monkeypatch.setattr(homology, "boundary_blocks", checked)
+    fibers = list(enumerate_fibers(G).values())
+    homology._fiber_ranks(G, fibers)
+    assert all(sum(sizes) <= cap or len(sizes) == 1 for sizes in batches)
+    if G.n >= 5:
+        assert any(len(sizes) > 1 for sizes in batches)
+    if G.n >= 6:
+        assert any(sizes[0] > cap for sizes in batches)
+
+
+def test_boundary_blocks_look_up_each_pair_in_its_own_targets(rng):
+    # pairs whose target tables overlap, and more than 256 pairs, so that
+    # the pair numbers take two bytes: each block is its own pair's
+    G = random_knot(rng, 6)
+    every = np.sort(np.concatenate([codes for codes, _ in enumerate_fibers(G).values()]))
+    pairs = [(every[k : k + 1], every) for k in range(0, 600, 2)]
+    pairs += [(every[:50], every[::2].copy()), (every[:0], every), (every[50:90], every[:0])]
+    blocks = homology.boundary_blocks(G, pairs)
+    assert len(blocks) == len(pairs) > 256
+    for (src, tgt), block in zip(pairs, blocks):
+        assert np.array_equal(block, slice_boundary(G, src, tgt))
+        oracle = oracles.boundary_entries(G, _states(src, G.n), _index(tgt, G.n))
+        assert set(map(tuple, block.tolist())) == oracle
+
+
+def test_nine_by_nine_sum_is_pinned():
+    # the 9x9 trefoil-corner-x#trefoil, serial and in a 2-worker pool
+    expected = (
+    "{\"alexander_mod2\": \"T^-2 + 1 + T^2\", \"hat_poincare\": \"t^-2 + 2 q t^-1 + 3 q^2 + 2"
+    " q^3 t + q^4 t^2\", \"poincare\": \"q^-8 t^-10 + 10 q^-7 t^-9 + 47 q^-6 t^-8 + 138 q^-5"
+    " t^-7 + 283 q^-4 t^-6 + 428 q^-3 t^-5 + 490 q^-2 t^-4 + 428 q^-1 t^-3 + 283 t^-2 +"
+    " 138 q t^-1 + 47 q^2 + 10 q^3 t + q^4 t^2\", \"ranks\": [[-8, -10, 1], [-7, -9, 10],"
+    " [-6, -8, 47], [-5, -7, 138], [-4, -6, 283], [-3, -5, 428], [-2, -4, 490], [-1, -3,"
+    " 428], [0, -2, 283], [1, -1, 138], [2, 0, 47], [3, 1, 10], [4, 2, 1]]}"
+    )
+    G = _nine_by_nine()
+    assert tilde_homology(G).to_json() == expected
+    assert tilde_homology(G, workers=2).to_json() == expected
 
 
 def test_pooled_clearing_matches_full_blocks():
@@ -488,15 +569,14 @@ def test_verdicts_where_the_fiber_exceeds_the_budget():
 
 def test_verdict_checks_its_preimage(monkeypatch, trefoil, figure_eight):
     # a reduction whose tags name the wrong columns must not get a wrong
-    # "Vanishes" past the product check
-    extend = linalg._extend
+    # "Vanishes" past the product check: every pivot built when a
+    # reduction first reaches it gets tag 0
+    built = linalg._Reduction._built
 
-    def corrupted(pivots, columns, tagged):
-        extend(pivots, columns, tagged)
-        pivots.update({k: (v, 0) for k, (v, _) in pivots.items()})
-        return pivots
+    def corrupted(self, col):
+        return built(self, col)[0], 0
 
-    monkeypatch.setattr(linalg, "_extend", corrupted)
+    monkeypatch.setattr(linalg._Reduction, "_built", corrupted)
     with pytest.raises(PreimageMismatch):
         class_vanishes(figure_eight, [x_plus(figure_eight)])
     assert class_vanishes(trefoil, [x_plus(trefoil)]) == "Survives"

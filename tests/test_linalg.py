@@ -11,7 +11,7 @@ from gridhfk.homology import enumerate_fibers, slice_boundary
 from gridhfk.linalg import ColumnSpan, SparseF2Matrix, f2_rank, f2_solve, rank_from_entries
 
 from conftest import random_knot
-from oracles import dense_rank
+from oracles import dense_rank, eager_pivots
 
 
 def random_entries(rng, rows, cols, density):
@@ -149,6 +149,45 @@ def test_rank_of_every_boundary_block_matches_dense_oracle(name, G):
             assert np.shares_memory(linalg._distinct(block), block) or not len(block)
 
 
+def _lazy_matches_eager(rows, cols, entries):
+    """The lazy kernel's rank and pivot top rows, untagged, and its pivots,
+    tagged and each built, equal the eager reduction's."""
+    e = linalg._distinct(entries)
+    eager = eager_pivots(e)
+    tops = []
+    assert rank_from_entries(rows, cols, entries, tops) == len(eager)
+    assert sorted(tops) == sorted(eager)
+    lazy = linalg._Reduction(tagged=True)
+    lazy.add(e[:, 0], e[:, 1])
+    built = {
+        top: lazy._built(p) if isinstance(p, int) else p for top, p in lazy.pivots.items()
+    }
+    assert built == eager_pivots(e, tagged=True)
+
+
+def test_lazy_pivots_match_eager_reduction():
+    rng = random.Random(1717)
+    for _ in range(400):
+        rows, cols = rng.randint(1, 60), rng.randint(1, 60)
+        entries = sorted(random_entries(rng, rows, cols, rng.uniform(0.02, 0.5)))
+        listed = entries + rng.sample(entries, len(entries) // 3)
+        rng.shuffle(listed)
+        _lazy_matches_eager(rows, cols, np.array(listed, dtype=np.int64).reshape(-1, 2))
+
+
+_KERNEL_GRIDS = [(e.name, e.grid) for e in builtin_entries()] + [
+    (f"random{n}", random_knot(random.Random(1818 + n), n)) for n in range(3, 9)
+]
+
+
+@pytest.mark.parametrize("name,G", _KERNEL_GRIDS, ids=[name for name, _ in _KERNEL_GRIDS])
+def test_lazy_pivots_match_eager_on_every_boundary_block(name, G):
+    for codes, M in enumerate_fibers(G).values():
+        for m in np.unique(M):
+            src, tgt = codes[M == m], codes[M == m - 1]
+            _lazy_matches_eager(len(tgt), len(src), slice_boundary(G, src, tgt))
+
+
 def test_unsorted_repeated_positions_count_once():
     rng = random.Random(10)
     for _ in range(50):
@@ -204,15 +243,15 @@ def test_solve_rejects_rhs_of_wrong_length():
 
 def test_solve_checks_its_preimage(monkeypatch):
     # a reduction whose tags name the wrong source columns must not get a
-    # wrong preimage past the product check
-    extend = linalg._extend
+    # wrong preimage past the product check; the identity's columns all
+    # become pivots as they stand, so every tag is made when b reaches it
+    built = linalg._Reduction._built
 
-    def corrupted(pivots, columns, tagged):
-        extend(pivots, columns, tagged)
-        pivots.update({k: (v, tag ^ 0b10) for k, (v, tag) in pivots.items()})
-        return pivots
+    def corrupted(self, col):
+        v, tag = built(self, col)
+        return v, tag ^ 0b10
 
-    monkeypatch.setattr(linalg, "_extend", corrupted)
+    monkeypatch.setattr(linalg._Reduction, "_built", corrupted)
     m = SparseF2Matrix(3, 3, {(i, i) for i in range(3)})
     with pytest.raises(PreimageMismatch):
         f2_solve(m, [1, 0, 0])

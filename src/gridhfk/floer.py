@@ -29,7 +29,7 @@ from .errors import AsymmetricResult, NotPermutation, OutOfRange
 FLAVORS = ("tilde", "minus0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bigrading:
     M: int
     A: int
@@ -58,9 +58,15 @@ def _gap_table(rows):
     return np.concatenate([np.full((n, 1, n), n), run[:, :-1]], axis=1).astype(np.int8)
 
 
+@lru_cache(maxsize=None)
+def _column_pairs(n):
+    """Index arrays of the column pairs i < j of an n-column state."""
+    return np.triu_indices(n, 1)
+
+
 def _noninversions(P):
     """Per row of P, the number of column pairs i < j with P[i] < P[j]."""
-    iu, ju = np.triu_indices(P.shape[1], 1)
+    iu, ju = _column_pairs(P.shape[1])
     return (P[:, iu] < P[:, ju]).sum(axis=1)
 
 

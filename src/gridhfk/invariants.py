@@ -37,7 +37,7 @@ def x_minus(G):
     return tuple(r - 1 for r in G.sigma_X)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvariantStatus:
     sign: str  # "+" or "-"
     cycle: tuple

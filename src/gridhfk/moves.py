@@ -7,6 +7,12 @@ with the two X's in the corners adjacent to it; the other seven types are
 the evident reflections / marker swaps.  Which types preserve the
 Legendrian (resp. transverse) knot is recorded in classify_move and pinned
 down by the grading test batteries.
+
+Commutation and stabilization each have one implementation on
+(sigma_O, sigma_X) marker tuples.  ``apply_move`` checks its move, raising
+typed errors, and wraps the tuples in one GridDiagram; the corner
+normalization search runs on the tuples and builds and validates only the
+grid it returns.
 """
 
 from __future__ import annotations
@@ -145,33 +151,44 @@ def _spans_commute(span_a, span_b):
     return False
 
 
+def _commuted_rows(o, x, j):
+    """Marker tuples with rows j and j + 1 swapped, or None when the two
+    rows' marker spans interleave."""
+    if not _spans_commute((o.index(j), x.index(j)), (o.index(j + 1), x.index(j + 1))):
+        return None
+    swap = {j: j + 1, j + 1: j}
+    return tuple(swap.get(r, r) for r in o), tuple(swap.get(r, r) for r in x)
+
+
+def _commuted_cols(o, x, i):
+    """Marker tuples with columns i and i + 1 swapped, or None when the two
+    columns' marker spans interleave."""
+    if not _spans_commute((o[i - 1], x[i - 1]), (o[i], x[i])):
+        return None
+    return (
+        o[: i - 1] + (o[i], o[i - 1]) + o[i + 1 :],
+        x[: i - 1] + (x[i], x[i - 1]) + x[i + 1 :],
+    )
+
+
 def _commute_rows(G, j):
     n = G.n
     if not (1 <= j <= n - 1):
         raise OutOfRange(f"row {j} not in 1..{n - 1}")
-    span_j = (G.o_column_of_row(j), G.x_column_of_row(j))
-    span_j1 = (G.o_column_of_row(j + 1), G.x_column_of_row(j + 1))
-    if not _spans_commute(span_j, span_j1):
+    sigmas = _commuted_rows(G.sigma_O, G.sigma_X, j)
+    if sigmas is None:
         raise IllegalCommutation(f"rows {j}, {j + 1} have interleaved marker spans")
-    swap = {j: j + 1, j + 1: j}
-    o = tuple(swap.get(r, r) for r in G.sigma_O)
-    x = tuple(swap.get(r, r) for r in G.sigma_X)
-    return GridDiagram(n, o, x)
+    return GridDiagram(n, *sigmas)
 
 
 def _commute_cols(G, i):
     n = G.n
     if not (1 <= i <= n - 1):
         raise OutOfRange(f"column {i} not in 1..{n - 1}")
-    span_i = (G.sigma_O[i - 1], G.sigma_X[i - 1])
-    span_i1 = (G.sigma_O[i], G.sigma_X[i])
-    if not _spans_commute(span_i, span_i1):
+    sigmas = _commuted_cols(G.sigma_O, G.sigma_X, i)
+    if sigmas is None:
         raise IllegalCommutation(f"columns {i}, {i + 1} have interleaved marker spans")
-    o = list(G.sigma_O)
-    x = list(G.sigma_X)
-    o[i - 1], o[i] = o[i], o[i - 1]
-    x[i - 1], x[i] = x[i], x[i - 1]
-    return GridDiagram(n, tuple(o), tuple(x))
+    return GridDiagram(n, *sigmas)
 
 
 _CORNER_POS = {
@@ -188,52 +205,34 @@ _ADJACENT = {
 }
 
 
+def _stabilized(o, x, stab_type, c, r):
+    """Marker tuples after the stabilization ``stab_type`` of the marker in
+    cell (c, r), with (dx, dy) the new marker's corner of the block.
+
+    Every marker in rows r + dy and up moves up by one, so the partner in
+    row r moves only for the S types, and the block's two columns are
+    spliced in at c: column c + dx takes the new marker and one copy of
+    the old, the other column the second copy and column c's partner."""
+    marker, direction = stab_type.split(":")
+    dx, dy = _CORNER_POS[direction]
+    p, q = (x, o) if marker == "X" else (o, x)
+    p = [s + (s >= r + dy) for s in p]
+    q = [s + (s >= r + dy) for s in q]
+    step = -1 if dx else 1  # block columns in the order (c + dx, c + 1 - dx)
+    p[c - 1 : c] = (r + 1 - dy, r + dy)[::step]
+    q[c - 1 : c] = (r + dy, q[c - 1])[::step]
+    return (tuple(q), tuple(p)) if marker == "X" else (tuple(p), tuple(q))
+
+
 def _stabilize(G, stab_type, c, r):
     n = G.n
-    marker, direction = stab_type.split(":")
+    marker, _ = stab_type.split(":")
     if not (1 <= c <= n and 1 <= r <= n):
         raise OutOfRange(f"cell ({c}, {r}) outside the grid")
     primary = G.sigma_X if marker == "X" else G.sigma_O
-    partner = G.sigma_O if marker == "X" else G.sigma_X
     if primary[c - 1] != r:
         raise NoSuchPattern(f"no {marker} at cell ({c}, {r})")
-
-    def new_col(c0):
-        return c0 if c0 < c else c0 + 1
-
-    def new_row(r0):
-        return r0 if r0 < r else r0 + 1
-
-    markers = {"X": [], "O": []}
-    for c0 in range(1, n + 1):
-        if c0 == c:
-            continue
-        markers["X" if marker == "X" else "O"].append(
-            (new_col(c0), new_row(primary[c0 - 1]))
-        )
-        markers["O" if marker == "X" else "X"].append(
-            (new_col(c0), new_row(partner[c0 - 1]))
-        )
-
-    other = "O" if marker == "X" else "X"
-    dx, dy = _CORNER_POS[direction]
-    markers[other].append((c + dx, r + dy))
-    for adj in _ADJACENT[direction]:
-        ax, ay = _CORNER_POS[adj]
-        markers[marker].append((c + ax, r + ay))
-    # displaced partners: opposite block column / row from the new symbol
-    col_partner_row = partner[c - 1]
-    markers[other].append((c + (1 - dx), new_row(col_partner_row)))
-    row_partner_col = partner.index(r) + 1
-    markers[other].append((new_col(row_partner_col), r + (1 - dy)))
-
-    o = [0] * (n + 1)
-    x = [0] * (n + 1)
-    for cc, rr in markers["O"]:
-        o[cc - 1] = rr
-    for cc, rr in markers["X"]:
-        x[cc - 1] = rr
-    return GridDiagram(n + 1, tuple(o), tuple(x))
+    return GridDiagram(n + 1, *_stabilized(G.sigma_O, G.sigma_X, stab_type, c, r))
 
 
 def _block_pattern(stab_type):
@@ -339,31 +338,31 @@ def has_corner_o(G):
 _TRANSVERSE_SAFE_STABS = ("X:NW", "X:SE", "O:NW", "O:SE", "X:NE", "O:SW")
 
 
-def _corner_pair(G):
+def _corner_pair(o, x):
     """Column of an X whose diagonal upper-right neighbour cell holds an O."""
-    n = G.n
+    n = len(o)
     for c in range(1, n + 1):
-        r = G.sigma_X[c - 1]
-        if G.sigma_O[c % n] == r % n + 1:
+        r = x[c - 1]
+        if o[c % n] == r % n + 1:
             return c, r
     return None
 
 
-def _corner_moves(G):
-    """Transverse-class-preserving moves tried by the normalization search."""
-    for c in range(1, G.n):
-        try:
-            yield _commute_cols(G, c)
-        except IllegalCommutation:
-            pass
-        try:
-            yield _commute_rows(G, c)
-        except IllegalCommutation:
-            pass
+def _corner_moves(o, x, grow):
+    """Marker tuples reached by the transverse-class-preserving moves that
+    the normalization search tries, in its order; the stabilizations only
+    if ``grow``."""
+    n = len(o)
+    for c in range(1, n):
+        for child in (_commuted_cols(o, x, c), _commuted_rows(o, x, c)):
+            if child is not None:
+                yield child
+    if not grow:
+        return
     for stype in _TRANSVERSE_SAFE_STABS:
-        sigma = G.sigma_X if stype[0] == "X" else G.sigma_O
-        for c in range(1, G.n + 1):
-            yield _stabilize(G, stype, c, sigma[c - 1])
+        sigma = x if stype[0] == "X" else o
+        for c in range(1, n + 1):
+            yield _stabilized(o, x, stype, c, sigma[c - 1])
 
 
 def normalize_corners(G, max_extra=3, max_moves=6):
@@ -375,6 +374,8 @@ def normalize_corners(G, max_extra=3, max_moves=6):
     by breadth-first search and finished with a cyclic permutation, so the
     self-linking number, the bigrading of x+ and the transverse invariant
     class are all preserved.  The grid grows by at most ``max_extra``.
+    The search runs on (sigma_O, sigma_X) marker tuples; only the grid it
+    finds is built and validated as a GridDiagram.
     """
     if component_count(G) != 1:
         raise MultiComponent("corner normalization requires a knot")
@@ -383,27 +384,29 @@ def normalize_corners(G, max_extra=3, max_moves=6):
     # Breadth-first, with the goal tested as each grid is generated: the
     # queue keeps generation order, so this finds the grid a test on
     # dequeue would, without expanding the rest of its level.
-    seen = {(G.sigma_O, G.sigma_X)}
-    queue = deque([(G, 0)])
-    found = (G, _corner_pair(G))
+    limit = G.n + max_extra
+    start = (G.sigma_O, G.sigma_X)
+    seen = {start}
+    queue = deque([(start, 0)])
+    found = (start, _corner_pair(*start))
     while queue and found[1] is None:
-        H, depth = queue.popleft()
+        sigmas, depth = queue.popleft()
         if depth >= max_moves:
             continue
-        for H2 in _corner_moves(H):
-            key = (H2.sigma_O, H2.sigma_X)
-            if H2.n > G.n + max_extra or key in seen:
+        for child in _corner_moves(*sigmas, len(sigmas[0]) < limit):
+            if len(child[0]) > limit or child in seen:
                 continue
-            seen.add(key)
-            found = (H2, _corner_pair(H2))
+            seen.add(child)
+            found = (child, _corner_pair(*child))
             if found[1] is not None:
                 break
-            queue.append((H2, depth + 1))
-    H, pair = found
+            queue.append((child, depth + 1))
+    (o, x), pair = found
     if pair is None:
         raise CornerConditionUnmet(
             f"no corner normalization within {max_moves} moves / +{max_extra} size"
         )
+    H = GridDiagram(len(o), o, x)
     cx, rx = pair
     out = _cyclic(H, (H.n - rx) % H.n, (H.n - cx) % H.n)
     if not (has_corner_x(out) and has_corner_o(out)):

@@ -9,17 +9,33 @@ Python, and serves the tests as an oracle for
 ``eager_pivots`` is the column reduction that builds every column's bitset,
 for the lazy pivots of ``linalg``, and ``full_block_ranks`` ranks every
 column of every boundary block, for the cleared reduction of
-``homology._fiber_ranks``.
+``homology._fiber_ranks``; ``stabilize_markers`` places a stabilization's
+markers one at a time, for the marker-tuple moves of ``moves``, and
+``normalize_corners`` runs the corner search on validated grids built by
+``apply_move``, for ``moves.normalize_corners``.
 """
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from gridhfk.errors import CornerConditionUnmet, IllegalCommutation, MultiComponent
 from gridhfk.floer import bigrading, grading_tables
+from gridhfk.grid import GridDiagram, component_count
 from gridhfk.homology import slice_boundary
 from gridhfk.linalg import SparseF2Matrix, f2_solve, rank_from_entries
+from gridhfk.moves import (
+    apply_move,
+    commute_cols,
+    commute_rows,
+    cyclic_cols,
+    cyclic_rows,
+    has_corner_o,
+    has_corner_x,
+    stabilize,
+)
 
 
 def maslov2_pair(G, state):
@@ -285,3 +301,105 @@ def eager_pivots(e, tagged=False):
         if v:
             pivots[v.bit_length() - 1] = (v, tag)
     return pivots
+
+
+_CORNER_POS = {"NW": (0, 1), "NE": (1, 1), "SW": (0, 0), "SE": (1, 0)}
+_ADJACENT = {"NW": ("NE", "SW"), "NE": ("NW", "SE"), "SW": ("NW", "SE"), "SE": ("NE", "SW")}
+
+
+def stabilize_markers(G, stab_type, c, r):
+    """The stabilization ``stab_type`` of the marker in cell (c, r), each
+    marker placed at its (column, row) cell: the old markers outside column
+    c moved by the splice, the block's three markers, then the two displaced
+    partners (the one of row r placed twice, the later cell kept)."""
+    n = G.n
+    marker, direction = stab_type.split(":")
+    primary = G.sigma_X if marker == "X" else G.sigma_O
+    partner = G.sigma_O if marker == "X" else G.sigma_X
+
+    def new_col(c0):
+        return c0 if c0 < c else c0 + 1
+
+    def new_row(r0):
+        return r0 if r0 < r else r0 + 1
+
+    other = "O" if marker == "X" else "X"
+    markers = {"X": [], "O": []}
+    for c0 in range(1, n + 1):
+        if c0 != c:
+            markers[marker].append((new_col(c0), new_row(primary[c0 - 1])))
+            markers[other].append((new_col(c0), new_row(partner[c0 - 1])))
+    dx, dy = _CORNER_POS[direction]
+    markers[other].append((c + dx, r + dy))
+    for adj in _ADJACENT[direction]:
+        ax, ay = _CORNER_POS[adj]
+        markers[marker].append((c + ax, r + ay))
+    markers[other].append((c + (1 - dx), new_row(partner[c - 1])))
+    markers[other].append((new_col(partner.index(r) + 1), r + (1 - dy)))
+    o = [0] * (n + 1)
+    x = [0] * (n + 1)
+    for cc, rr in markers["O"]:
+        o[cc - 1] = rr
+    for cc, rr in markers["X"]:
+        x[cc - 1] = rr
+    return GridDiagram(n + 1, tuple(o), tuple(x))
+
+
+_TRANSVERSE_SAFE_STABS = ("X:NW", "X:SE", "O:NW", "O:SE", "X:NE", "O:SW")
+
+
+def _corner_pair(G):
+    n = G.n
+    for c in range(1, n + 1):
+        r = G.sigma_X[c - 1]
+        if G.sigma_O[c % n] == r % n + 1:
+            return c, r
+    return None
+
+
+def _corner_children(G):
+    for c in range(1, G.n):
+        for move in (commute_cols(c), commute_rows(c)):
+            try:
+                yield apply_move(G, move)
+            except IllegalCommutation:
+                pass
+    for stype in _TRANSVERSE_SAFE_STABS:
+        sigma = G.sigma_X if stype[0] == "X" else G.sigma_O
+        for c in range(1, G.n + 1):
+            yield apply_move(G, stabilize(stype, c, sigma[c - 1]))
+
+
+def normalize_corners(G, max_extra=3, max_moves=6):
+    """The corner search of ``moves.normalize_corners`` over validated
+    grids: breadth first, each child built by ``apply_move`` and tested as
+    it is generated, then a cyclic shift onto the corners."""
+    if component_count(G) != 1:
+        raise MultiComponent("corner normalization requires a knot")
+    if has_corner_x(G) and has_corner_o(G):
+        return G
+    seen = {G}
+    queue = deque([(G, 0)])
+    found = (G, _corner_pair(G))
+    while queue and found[1] is None:
+        H, depth = queue.popleft()
+        if depth >= max_moves:
+            continue
+        for H2 in _corner_children(H):
+            if H2.n > G.n + max_extra or H2 in seen:
+                continue
+            seen.add(H2)
+            found = (H2, _corner_pair(H2))
+            if found[1] is not None:
+                break
+            queue.append((H2, depth + 1))
+    H, pair = found
+    if pair is None:
+        raise CornerConditionUnmet(
+            f"no corner normalization within {max_moves} moves / +{max_extra} size"
+        )
+    cx, rx = pair
+    out = apply_move(apply_move(H, cyclic_rows((H.n - rx) % H.n)), cyclic_cols((H.n - cx) % H.n))
+    if not (has_corner_x(out) and has_corner_o(out)):
+        raise CornerConditionUnmet("cyclic shift did not place both corner markers")
+    return out

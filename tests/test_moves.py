@@ -14,8 +14,10 @@ from gridhfk import (
     normalize_corners,
     parse_move_script,
 )
-from gridhfk.errors import CornerConditionUnmet, MultiComponent, OutOfRange
+from gridhfk.corpus import all_entries
+from gridhfk.errors import CornerConditionUnmet, GridError, MultiComponent, OutOfRange
 from gridhfk.homology import alexander_polynomial
+from gridhfk.invariants import theta_status
 from gridhfk.moves import (
     STAB_TYPES,
     commute_cols,
@@ -30,6 +32,7 @@ from gridhfk.moves import (
     stabilize,
 )
 
+import oracles
 from conftest import random_knot
 
 
@@ -69,6 +72,19 @@ def test_stabilize_grows_and_keeps_knot(trefoil):
 def test_stabilize_requires_marker(trefoil):
     with pytest.raises(NoSuchPattern):
         apply_move(trefoil, stabilize("X:NW", 1, trefoil.sigma_O[0]))
+
+
+def test_stabilize_matches_marker_oracle(rng):
+    grids = [e.grid for e in all_entries()]
+    grids += [random_knot(rng, n) for n in range(2, 10) for _ in range(3)]
+    for G in grids:
+        for stab_type in STAB_TYPES:
+            rows = G.sigma_X if stab_type[0] == "X" else G.sigma_O
+            for col in range(1, G.n + 1):
+                move = stabilize(stab_type, col, rows[col - 1])
+                assert apply_move(G, move) == oracles.stabilize_markers(
+                    G, stab_type, col, rows[col - 1]
+                ), (G, move)
 
 
 def test_stab_destab_round_trip(rng):
@@ -156,13 +172,42 @@ def test_normalize_corners_identity_when_ready():
 
 
 def test_normalize_corners_preserves_transverse_data(rng):
-    for _ in range(10):
-        G = random_knot(rng, rng.randint(2, 5))
+    for _ in range(40):
+        G = random_knot(rng, rng.randint(2, 6))
         Gn = normalize_corners(G)
         assert has_corner_x(Gn) and has_corner_o(Gn)
         ci, cin = classical_invariants(G), classical_invariants(Gn)
         assert cin.sl_plus == ci.sl_plus
         assert component_count(Gn) == 1
+        st, stn = theta_status(G), theta_status(Gn)
+        assert stn.bigrading == st.bigrading, (G, Gn)
+        assert stn.tilde_verdict == st.tilde_verdict, (G, Gn)
+
+
+def _outcome(search, G, **kw):
+    try:
+        return search(G, **kw)
+    except GridError as exc:
+        return type(exc), str(exc)
+
+
+def test_normalize_corners_matches_grid_search(rng):
+    grids = [e.grid for e in all_entries()]
+    grids += [random_knot(rng, n) for n in range(2, 12) for _ in range(4)]
+    for G in grids:
+        for kw in ({}, {"max_moves": 2}):
+            assert _outcome(normalize_corners, G, **kw) == _outcome(
+                oracles.normalize_corners, G, **kw
+            ), (G, kw)
+
+
+def test_normalize_corners_without_moves_raises():
+    G = GridDiagram(3, (1, 2, 3), (2, 3, 1))
+    assert not (has_corner_x(G) and has_corner_o(G))
+    with pytest.raises(CornerConditionUnmet, match="within 0 moves"):
+        normalize_corners(G, max_moves=0)
+    with pytest.raises(CornerConditionUnmet, match="within 0 moves"):
+        oracles.normalize_corners(G, max_moves=0)
 
 
 def test_normalize_corners_rejects_links():

@@ -65,7 +65,8 @@ print("  after X:NE (negative stab)", bigrading(neg, x_plus(neg)))
 print("  after X:SW (positive stab)", bigrading(pos, x_plus(pos)))
 print()
 
-# Destabilizations are found by pattern matching on 2x2 blocks.
+# A destabilization merges a 2x2 block back into one cell; it is legal
+# when stabilizing the merged grid gives the same grid back.
 G2 = apply_move(trefoil, cyclic_rows(1))
 G3 = apply_move(G2, stabilize("O:SE", 2, G2.sigma_O[1]))
 print(f"destabilizations available on a stabilized grid (n={G3.n}):")

@@ -40,9 +40,6 @@ class GridDiagram:
 
     # -- marker lookups ---------------------------------------------------
 
-    def o_column_of_row(self, row):
-        return self.sigma_O.index(row) + 1
-
     def x_column_of_row(self, row):
         return self.sigma_X.index(row) + 1
 

@@ -360,40 +360,35 @@ def _fiber_worker(args):
 # -- Laurent polynomial helpers ----------------------------------------------
 
 
-def _divide_qt_once(num, max_steps):
-    """Divide a Laurent polynomial in (q, t) by 1 + q^-1 t^-1, exactly."""
-    rem = {k: v for k, v in num.items() if v}
-    quot = {}
-    steps = 0
-    while rem:
-        steps += 1
-        if steps > max_steps:
-            raise DivisionInexact("tilde/hat V-factor division does not terminate")
-        key = max(rem, key=lambda k: (k[0] + k[1], k[0]))
-        c = rem.pop(key)
-        quot[key] = quot.get(key, 0) + c
-        low = (key[0] - 1, key[1] - 1)
-        v = rem.get(low, 0) - c
-        if v:
-            rem[low] = v
-        else:
-            rem.pop(low, None)
-    return quot
+def _divide_by_one_minus(poly, times):
+    """Quotient of a coefficient list (lowest power first) by (1 - z)^times:
+    each division is a running sum, whose popped last entry p(1) must be 0."""
+    for _ in range(times):
+        poly = list(itertools.accumulate(poly))
+        if poly and poly.pop():
+            raise DivisionInexact(f"polynomial not divisible by (1 - z)^{times}")
+    return poly
 
 
 def hat_from_tilde(poincare, n):
-    """Exact division of the tilde Poincare polynomial by (1+q^-1 t^-1)^(n-1)."""
-    if not poincare:
-        return {}
-    ms = [k[0] for k in poincare]
-    as_ = [k[1] for k in poincare]
-    max_steps = 4 * (max(ms) - min(ms) + 2) * (max(as_) - min(as_) + 2) + 100
-    cur = dict(poincare)
-    for _ in range(n - 1):
-        cur = _divide_qt_once(cur, max_steps)
-    if any(v < 0 for v in cur.values()):
+    """Exact division of the tilde Poincare polynomial by (1+q^-1 t^-1)^(n-1).
+
+    Multiplying by q^-1 t^-1 keeps d = M - A, so each diagonal divides on
+    its own: read from its highest A down with alternating signs, it is a
+    polynomial in z = -q^-1 t^-1, and 1 + q^-1 t^-1 = 1 - z."""
+    diagonals = {}
+    for (m, a), v in poincare.items():
+        diagonals.setdefault(m - a, {})[a] = v
+    hat = {}
+    for d, row in diagonals.items():
+        top = max(row)
+        poly = [(-1) ** k * row.get(top - k, 0) for k in range(top - min(row) + 1)]
+        for k, v in enumerate(_divide_by_one_minus(poly, n - 1)):
+            if v:
+                hat[(d + top - k, top - k)] = (-1) ** k * v
+    if any(v < 0 for v in hat.values()):
         raise DivisionInexact("V-factor quotient has negative coefficients")
-    return {k: v for k, v in cur.items() if v}
+    return hat
 
 
 def format_qt(d):
@@ -467,10 +462,7 @@ def alexander_polynomial(G):
     poly = digits[offset % 2 :: 2]
     while poly and not poly[0]:
         poly.pop(0)
-    for _ in range(n - 1):
-        poly = list(itertools.accumulate(poly))  # the quotient by 1 - T, with p(1) last
-        if poly and poly.pop():
-            raise DivisionInexact(f"generating function not divisible by (1 - T)^{n - 1}")
+    poly = _divide_by_one_minus(poly, n - 1)
     unit = sum(poly)
     if unit not in (1, -1) or poly != poly[::-1]:
         raise AsymmetricResult(f"Alexander polynomial {poly} not symmetric with Delta(1) = +-1")

@@ -8,11 +8,13 @@ the evident reflections / marker swaps.  Which types preserve the
 Legendrian (resp. transverse) knot is recorded in classify_move and pinned
 down by the grading test batteries.
 
-Commutation and stabilization each have one implementation on
-(sigma_O, sigma_X) marker tuples.  ``apply_move`` checks its move, raising
-typed errors, and wraps the tuples in one GridDiagram; the corner
-normalization search runs on the tuples and builds and validates only the
-grid it returns.
+Every move is one function on (sigma_O, sigma_X) marker tuples:
+``_cycled``, ``_commuted_rows``, ``_commuted_cols``, ``_stabilized`` and
+``_destabilized``; the commutations and ``_destabilized`` return None
+when the move does not apply.  ``apply_move`` is the one place that
+validates a move: it range-checks it, raises the typed error, and wraps
+the tuples in one GridDiagram.  The corner normalization search runs on
+the tuples and builds and validates only the grid it returns.
 """
 
 from __future__ import annotations
@@ -34,11 +36,9 @@ STAB_TYPES = ("X:NW", "X:SE", "X:NE", "X:SW", "O:NW", "O:SE", "O:NE", "O:SW")
 LEGENDRIAN = "Legendrian"
 TRANSVERSE_ONLY = "TransverseOnly"
 POSITIVE_STAB = "PositiveStab"
-TOPOLOGICAL = "Topological"
 
 _LEGENDRIAN_STABS = {"X:NW", "X:SE", "O:NW", "O:SE"}
 _NEGATIVE_STABS = {"X:NE", "O:SW"}  # negative stabilization of the knot
-_POSITIVE_STABS = {"X:SW", "O:NE"}  # by elimination; confirmed by grading tests
 
 
 @dataclass(frozen=True)
@@ -122,19 +122,14 @@ def classify_move(move):
 # -- elementary moves ----------------------------------------------------------
 
 
-def _cyclic(G, row_shift, col_shift):
-    n = G.n
-
-    def shift_row(r):
-        return (r - 1 + row_shift) % n + 1
-
-    o = [0] * n
-    x = [0] * n
-    for i in range(n):
-        j = (i + col_shift) % n
-        o[j] = shift_row(G.sigma_O[i])
-        x[j] = shift_row(G.sigma_X[i])
-    return GridDiagram(n, tuple(o), tuple(x))
+def _cycled(o, x, row_shift, col_shift):
+    """Marker tuples with every row moved up by ``row_shift`` and every
+    column right by ``col_shift``, cyclically."""
+    n = len(o)
+    k = -col_shift % n  # new column j + 1 is old column (j - col_shift) % n + 1
+    return tuple(
+        tuple((r - 1 + row_shift) % n + 1 for r in sigma[k:] + sigma[:k]) for sigma in (o, x)
+    )
 
 
 def _spans_commute(span_a, span_b):
@@ -171,37 +166,11 @@ def _commuted_cols(o, x, i):
     )
 
 
-def _commute_rows(G, j):
-    n = G.n
-    if not (1 <= j <= n - 1):
-        raise OutOfRange(f"row {j} not in 1..{n - 1}")
-    sigmas = _commuted_rows(G.sigma_O, G.sigma_X, j)
-    if sigmas is None:
-        raise IllegalCommutation(f"rows {j}, {j + 1} have interleaved marker spans")
-    return GridDiagram(n, *sigmas)
-
-
-def _commute_cols(G, i):
-    n = G.n
-    if not (1 <= i <= n - 1):
-        raise OutOfRange(f"column {i} not in 1..{n - 1}")
-    sigmas = _commuted_cols(G.sigma_O, G.sigma_X, i)
-    if sigmas is None:
-        raise IllegalCommutation(f"columns {i}, {i + 1} have interleaved marker spans")
-    return GridDiagram(n, *sigmas)
-
-
 _CORNER_POS = {
     "NW": (0, 1),
     "NE": (1, 1),
     "SW": (0, 0),
     "SE": (1, 0),
-}
-_ADJACENT = {
-    "NW": ("NE", "SW"),
-    "NE": ("NW", "SE"),
-    "SW": ("NW", "SE"),
-    "SE": ("NE", "SW"),
 }
 
 
@@ -224,80 +193,60 @@ def _stabilized(o, x, stab_type, c, r):
     return (tuple(q), tuple(p)) if marker == "X" else (tuple(p), tuple(q))
 
 
-def _stabilize(G, stab_type, c, r):
-    n = G.n
-    marker, _ = stab_type.split(":")
-    if not (1 <= c <= n and 1 <= r <= n):
-        raise OutOfRange(f"cell ({c}, {r}) outside the grid")
-    primary = G.sigma_X if marker == "X" else G.sigma_O
-    if primary[c - 1] != r:
-        raise NoSuchPattern(f"no {marker} at cell ({c}, {r})")
-    return GridDiagram(n + 1, *_stabilized(G.sigma_O, G.sigma_X, stab_type, c, r))
+def _destabilized(o, x, stab_type, c, r):
+    """Marker tuples before the stabilization ``stab_type`` that made the
+    2x2 block with lower-left cell (c, r), or None when there is no such
+    block.
 
-
-def _block_pattern(stab_type):
-    """Cell contents of the 2x2 block produced by a stabilization."""
+    The block's column c + dx is dropped, the rows above r + dy move down
+    by one and the marker goes back to (c, r).  The candidate counts only
+    if its column c keeps no partner in that cell (a full block would
+    otherwise pass) and stabilizing it gives back (o, x), so the block's
+    geometry lives only in ``_stabilized``."""
     marker, direction = stab_type.split(":")
-    other = "O" if marker == "X" else "X"
-    pattern = {}
-    pattern[_CORNER_POS[direction]] = other
-    for adj in _ADJACENT[direction]:
-        pattern[_CORNER_POS[adj]] = marker
-    return pattern
-
-
-def _destabilize(G, stab_type, c, r):
-    n = G.n
-    if not (1 <= c <= n - 1 and 1 <= r <= n - 1):
-        raise OutOfRange(f"block corner ({c}, {r}) outside 1..{n - 1}")
-    pattern = _block_pattern(stab_type)
-    for dx in (0, 1):
-        for dy in (0, 1):
-            want = pattern.get((dx, dy), ".")
-            if G.cell(c + dx, r + dy) != want:
-                raise NoSuchPattern(
-                    f"no {stab_type} block at ({c}, {r}): cell ({c + dx}, {r + dy})"
-                    f" is {G.cell(c + dx, r + dy)!r}, expected {want!r}"
-                )
-    marker = stab_type.split(":")[0]
-    block_cells = {(c + dx, r + dy) for dx in (0, 1) for dy in (0, 1)}
-
-    def merge_col(c0):
-        return c0 if c0 <= c else c0 - 1
-
-    def merge_row(r0):
-        return r0 if r0 <= r else r0 - 1
-
-    o = [0] * (n - 1)
-    x = [0] * (n - 1)
-    for c0 in range(1, n + 1):
-        for sigma, out in ((G.sigma_O, o), (G.sigma_X, x)):
-            r0 = sigma[c0 - 1]
-            if (c0, r0) in block_cells:
-                continue
-            out[merge_col(c0) - 1] = merge_row(r0)
-    if marker == "X":
-        x[c - 1] = r
-    else:
-        o[c - 1] = r
-    return GridDiagram(n - 1, tuple(o), tuple(x))
+    dx, dy = _CORNER_POS[direction]
+    drop = c + dx - 1
+    o2, x2 = ([s - (s > r + dy) for s in sigma[:drop] + sigma[drop + 1 :]] for sigma in (o, x))
+    p, q = (x2, o2) if marker == "X" else (o2, x2)
+    if q[c - 1] == r:
+        return None
+    p[c - 1] = r
+    candidate = (tuple(o2), tuple(x2))
+    return candidate if _stabilized(*candidate, stab_type, c, r) == (o, x) else None
 
 
 def apply_move(G, move):
-    """Apply one grid move, returning a new validated grid."""
-    if move.kind == "cycR":
-        return _cyclic(G, move.arg, 0)
-    if move.kind == "cycC":
-        return _cyclic(G, 0, move.arg)
-    if move.kind == "commR":
-        return _commute_rows(G, move.arg)
-    if move.kind == "commC":
-        return _commute_cols(G, move.arg)
-    if move.kind == "stab":
-        return _stabilize(G, move.stab_type, move.col, move.row)
-    if move.kind == "destab":
-        return _destabilize(G, move.stab_type, move.col, move.row)
-    raise OutOfRange(f"unknown move kind {move.kind!r}")
+    """Apply one grid move, returning a new validated grid.  This is the
+    one place a move is checked: it is range-checked, and a move that does
+    not apply raises its typed error."""
+    n, o, x, kind = G.n, G.sigma_O, G.sigma_X, move.kind
+    if kind in ("cycR", "cycC"):
+        shifts = (move.arg, 0) if kind == "cycR" else (0, move.arg)
+        return GridDiagram(n, *_cycled(o, x, *shifts))
+    if kind in ("commR", "commC"):
+        i, line = move.arg, "row" if kind == "commR" else "column"
+        if not (1 <= i <= n - 1):
+            raise OutOfRange(f"{line} {i} not in 1..{n - 1}")
+        sigmas = (_commuted_rows if kind == "commR" else _commuted_cols)(o, x, i)
+        if sigmas is None:
+            raise IllegalCommutation(f"{line}s {i}, {i + 1} have interleaved marker spans")
+        return GridDiagram(n, *sigmas)
+    stab_type, c, r = move.stab_type, move.col, move.row
+    if kind == "stab":
+        marker, _ = stab_type.split(":")
+        if not (1 <= c <= n and 1 <= r <= n):
+            raise OutOfRange(f"cell ({c}, {r}) outside the grid")
+        if (x if marker == "X" else o)[c - 1] != r:
+            raise NoSuchPattern(f"no {marker} at cell ({c}, {r})")
+        return GridDiagram(n + 1, *_stabilized(o, x, stab_type, c, r))
+    if kind == "destab":
+        if not (1 <= c <= n - 1 and 1 <= r <= n - 1):
+            raise OutOfRange(f"block corner ({c}, {r}) outside 1..{n - 1}")
+        sigmas = _destabilized(o, x, stab_type, c, r)
+        if sigmas is None:
+            raise NoSuchPattern(f"no {stab_type} block at ({c}, {r})")
+        return GridDiagram(n - 1, *sigmas)
+    raise OutOfRange(f"unknown move kind {kind!r}")
 
 
 def apply_moves(G, moves):
@@ -406,9 +355,8 @@ def normalize_corners(G, max_extra=3, max_moves=6):
         raise CornerConditionUnmet(
             f"no corner normalization within {max_moves} moves / +{max_extra} size"
         )
-    H = GridDiagram(len(o), o, x)
-    cx, rx = pair
-    out = _cyclic(H, (H.n - rx) % H.n, (H.n - cx) % H.n)
+    n, (cx, rx) = len(o), pair
+    out = GridDiagram(n, *_cycled(o, x, (n - rx) % n, (n - cx) % n))
     if not (has_corner_x(out) and has_corner_o(out)):
         raise CornerConditionUnmet("cyclic shift did not place both corner markers")
     return out
@@ -445,18 +393,18 @@ def connect_sum(G1, G2):
 
 
 def legal_destabilizations(G, types=STAB_TYPES):
-    """All (stab_type, col, row) whose block pattern is present."""
+    """All (stab_type, col, row) naming a block that ``_destabilized``
+    undoes, by type, then column.  Column c + dx holds the block's marker
+    in row r + 1 - dy, so each (type, column) has one candidate row."""
     found = []
     for stype in types:
-        pattern = _block_pattern(stype)
+        marker, direction = stype.split(":")
+        dx, dy = _CORNER_POS[direction]
+        sigma = G.sigma_X if marker == "X" else G.sigma_O
         for c in range(1, G.n):
-            for r in range(1, G.n):
-                if all(
-                    G.cell(c + dx, r + dy) == pattern.get((dx, dy), ".")
-                    for dx in (0, 1)
-                    for dy in (0, 1)
-                ):
-                    found.append((stype, c, r))
+            r = sigma[c + dx - 1] - (1 - dy)
+            if 1 <= r <= G.n - 1 and _destabilized(G.sigma_O, G.sigma_X, stype, c, r) is not None:
+                found.append((stype, c, r))
     return found
 
 
@@ -483,9 +431,8 @@ def random_move_sequence(G, length, rng):
                 move = GridMove(kind, arg=rng.randrange(1, G.n))
             elif kind in ("commR", "commC"):
                 idx = rng.randrange(1, G.n)
-                try:
-                    apply_move(G, GridMove(kind, arg=idx))
-                except (IllegalCommutation, OutOfRange):
+                commuted = _commuted_rows if kind == "commR" else _commuted_cols
+                if commuted(G.sigma_O, G.sigma_X, idx) is None:
                     options = [o for o in options if o not in ("commR", "commC")] or options
                     continue
                 move = GridMove(kind, arg=idx)

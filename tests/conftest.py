@@ -41,16 +41,22 @@ def rng():
     return random.Random(20240811)
 
 
-def random_knot(rng, n):
-    """A random valid single-component n x n grid."""
+def random_grid(rng, n):
+    """A random valid n x n grid, knot or link."""
     while True:
         o = list(range(1, n + 1))
         x = list(range(1, n + 1))
         rng.shuffle(o)
         rng.shuffle(x)
         try:
-            G = GridDiagram(n, tuple(o), tuple(x))
+            return GridDiagram(n, tuple(o), tuple(x))
         except Exception:
             continue
+
+
+def random_knot(rng, n):
+    """A random valid single-component n x n grid."""
+    while True:
+        G = random_grid(rng, n)
         if component_count(G) == 1:
             return G

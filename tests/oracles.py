@@ -10,9 +10,11 @@ Python, and serves the tests as an oracle for
 for the lazy pivots of ``linalg``, and ``full_block_ranks`` ranks every
 column of every boundary block, for the cleared reduction of
 ``homology._fiber_ranks``; ``stabilize_markers`` places a stabilization's
-markers one at a time, for the marker-tuple moves of ``moves``, and
-``normalize_corners`` runs the corner search on validated grids built by
-``apply_move``, for ``moves.normalize_corners``.
+markers one at a time, and ``destabilizations_by_cells`` and
+``destabilize_by_cells`` find and undo a stabilization's 2x2 block cell by
+cell, for the marker-tuple moves of ``moves``, and ``normalize_corners``
+runs the corner search on validated grids built by ``apply_move``, for
+``moves.normalize_corners``.
 """
 
 import itertools
@@ -27,6 +29,7 @@ from gridhfk.grid import GridDiagram, component_count
 from gridhfk.homology import slice_boundary
 from gridhfk.linalg import SparseF2Matrix, f2_solve, rank_from_entries
 from gridhfk.moves import (
+    STAB_TYPES,
     apply_move,
     commute_cols,
     commute_rows,
@@ -343,6 +346,50 @@ def stabilize_markers(G, stab_type, c, r):
     for cc, rr in markers["X"]:
         x[cc - 1] = rr
     return GridDiagram(n + 1, tuple(o), tuple(x))
+
+
+def _block_pattern(stab_type):
+    """Cell contents, by corner (dx, dy), of the 2x2 block a stabilization
+    makes; the fourth cell is empty."""
+    marker, direction = stab_type.split(":")
+    pattern = {_CORNER_POS[direction]: "O" if marker == "X" else "X"}
+    for adj in _ADJACENT[direction]:
+        pattern[_CORNER_POS[adj]] = marker
+    return pattern
+
+
+def destabilizations_by_cells(G, types=STAB_TYPES):
+    """(stab_type, col, row) of every 2x2 block, lower-left cell (col, row),
+    whose four cells hold the type's pattern, by type, column and row."""
+    found = []
+    for stype in types:
+        pattern = _block_pattern(stype)
+        for c in range(1, G.n):
+            for r in range(1, G.n):
+                if all(
+                    G.cell(c + dx, r + dy) == pattern.get((dx, dy), ".")
+                    for dx in (0, 1)
+                    for dy in (0, 1)
+                ):
+                    found.append((stype, c, r))
+    return found
+
+
+def destabilize_by_cells(G, stab_type, c, r):
+    """The grid with the 2x2 block at (c, r) merged into one cell: every
+    marker outside the block keeps its cell, the columns right of c and the
+    rows above r move in by one, and the type's marker goes back to (c, r)."""
+    n = G.n
+    block = {(c + dx, r + dy) for dx in (0, 1) for dy in (0, 1)}
+    o = [0] * (n - 1)
+    x = [0] * (n - 1)
+    for c0 in range(1, n + 1):
+        for sigma, out in ((G.sigma_O, o), (G.sigma_X, x)):
+            r0 = sigma[c0 - 1]
+            if (c0, r0) not in block:
+                out[c0 - (c0 > c) - 1] = r0 - (r0 > r)
+    (x if stab_type[0] == "X" else o)[c - 1] = r
+    return GridDiagram(n - 1, tuple(o), tuple(x))
 
 
 _TRANSVERSE_SAFE_STABS = ("X:NW", "X:SE", "O:NW", "O:SE", "X:NE", "O:SW")

@@ -144,6 +144,14 @@ def test_moves_illegal(grid_dir, tmp_path, capsys):
     assert "interleaved" in err
 
 
+def test_moves_destab_without_block(grid_dir, tmp_path, capsys):
+    script = tmp_path / "script.txt"
+    script.write_text("destab X:NW 1 1\n")
+    code, _, err = run(capsys, "moves", str(grid_dir / "trefoil.grid"), str(script))
+    assert code == 2
+    assert err.splitlines() == ["error: no X:NW block at (1, 1)"]
+
+
 def test_connsum_auto_normalizes(grid_dir, tmp_path, capsys):
     out_file = tmp_path / "sum.grid"
     code, _, _ = run(capsys, "connsum", str(grid_dir / "trefoil.grid"),

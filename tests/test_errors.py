@@ -68,6 +68,29 @@ def test_no_unused_imports_in_library():
         assert not unused, f"{path.name} imports unused names {unused}"
 
 
+def test_private_module_names_are_used_in_library():
+    # a module-level _name is private to the package, so something in src/
+    # besides its definition must refer to it
+    trees = [ast.parse(p.read_text()) for p in Path(gridhfk.__file__).parent.glob("*.py")]
+    defined, used = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert not sorted(private - used), f"unused private names {sorted(private - used)}"
+
+
 def test_package_import_starts_no_pool_machinery():
     # the process pool is imported only when a grid is big enough to use it
     code = (

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from gridhfk import (
@@ -14,12 +16,14 @@ from gridhfk import (
     normalize_corners,
     parse_move_script,
 )
-from gridhfk.corpus import all_entries
+from gridhfk.corpus import all_entries, get
 from gridhfk.errors import CornerConditionUnmet, GridError, MultiComponent, OutOfRange
 from gridhfk.homology import alexander_polynomial
 from gridhfk.invariants import theta_status
 from gridhfk.moves import (
     STAB_TYPES,
+    _destabilized,
+    _stabilized,
     commute_cols,
     commute_rows,
     cyclic_cols,
@@ -33,7 +37,7 @@ from gridhfk.moves import (
 )
 
 import oracles
-from conftest import random_knot
+from conftest import random_grid, random_knot
 
 
 def test_cyclic_row_swap_on_2x2():
@@ -110,6 +114,53 @@ def test_legal_destabilizations_found_after_stabilizing(trefoil):
     assert any(stype == "O:SE" for stype, _, _ in found)
     stype, c, r = found[0]
     assert apply_move(G2, destabilize(stype, c, r)).n == trefoil.n
+
+
+def _stabilized_grids(rng):
+    """The corpus, seeded knots and link grids with n = 2..9, each as given
+    and stabilized once and twice, and two grids with full 2x2 blocks: the
+    2x2 grid, and a link of two 2x2 unknots."""
+    grids = [GridDiagram(2, (1, 2), (2, 1)), GridDiagram(4, (1, 2, 3, 4), (2, 1, 4, 3))]
+    base = [e.grid for e in all_entries()]
+    base += [f(rng, n) for n in range(2, 10) for f in (random_knot, random_grid)]
+    for G in base:
+        grids.append(G)
+        for _ in range(2):
+            stab_type = rng.choice(STAB_TYPES)
+            col = rng.randint(1, G.n)
+            rows = G.sigma_X if stab_type[0] == "X" else G.sigma_O
+            G = apply_move(G, stabilize(stab_type, col, rows[col - 1]))
+            grids.append(G)
+    return grids
+
+
+def test_destabilizations_match_cell_oracle(rng):
+    found_any = False
+    for G in _stabilized_grids(rng):
+        found = oracles.destabilizations_by_cells(G)
+        assert legal_destabilizations(G) == found, G
+        found_any |= bool(found)
+        for stab_type in STAB_TYPES:
+            for col in range(1, G.n):
+                for row in range(1, G.n):
+                    move = destabilize(stab_type, col, row)
+                    if (stab_type, col, row) in found:
+                        expected = oracles.destabilize_by_cells(G, stab_type, col, row)
+                        assert apply_move(G, move) == expected, (G, move)
+                    else:
+                        with pytest.raises(NoSuchPattern):
+                            apply_move(G, move)
+    assert found_any
+
+
+def test_destabilized_undoes_every_stabilization(rng):
+    for G in _stabilized_grids(rng):
+        o, x = G.sigma_O, G.sigma_X
+        for stab_type in STAB_TYPES:
+            rows = x if stab_type[0] == "X" else o
+            for col in range(1, G.n + 1):
+                big = _stabilized(o, x, stab_type, col, rows[col - 1])
+                assert _destabilized(*big, stab_type, col, rows[col - 1]) == (o, x)
 
 
 def test_inverse_move_round_trip(rng):
@@ -256,3 +307,27 @@ def test_random_move_sequence_stays_valid(rng):
         moves, G2 = random_move_sequence(G, 8, rng)
         assert component_count(G2) == 1
         assert apply_moves(G, moves) == G2
+
+
+# Draws recorded when the marker-tuple moves replaced the grid-level ones;
+# the move battery (cli.battery_moves) checks these same sequences.
+_PINNED_DRAWS = {
+    ("trefoil", 0): ["cycR 3", "stab X:SE 4 4", "destab X:SE 4 4", "cycC 2", "cycR 3",
+                     "stab O:SE 3 2", "cycR 1", "destab O:SE 3 3"],
+    ("trefoil", 1): ["cycC 1", "stab X:SE 4 5", "stab X:SE 2 3", "cycR 4", "cycR 4", "cycR 6",
+                     "commC 3", "stab O:SE 5 4"],
+    ("trefoil", 14): ["cycR 2", "stab O:NW 4 1", "stab X:SE 1 6", "commR 2", "destab X:SE 5 3",
+                      "stab O:SE 2 5", "stab X:NW 2 7", "cycR 6"],
+    ("figure-eight", 10): ["stab O:NW 4 5", "cycR 2", "stab O:SE 1 5", "destab O:SE 1 5",
+                           "commR 1", "cycC 6", "commR 1", "commC 2"],
+    ("figure-eight", 17): ["stab X:SE 3 4", "commR 3", "cycC 6", "stab X:NW 1 2", "cycR 2",
+                           "destab X:NW 1 4", "commR 5", "destab X:SE 2 6"],
+    ("cinquefoil", 19): ["stab O:NW 7 7", "destab O:NW 7 7", "stab O:SE 4 4", "cycC 5",
+                         "cycC 5", "cycC 4", "commR 3", "cycR 7"],
+}
+
+
+def test_random_move_sequence_draws_are_pinned():
+    for (name, seed), expected in _PINNED_DRAWS.items():
+        moves, _ = random_move_sequence(get(name).grid, 8, random.Random(seed))
+        assert [str(m) for m in moves] == expected, (name, seed)

@@ -88,11 +88,16 @@ class GradingTables:
         # minus0 flavor only the X's.
         self.gap_x = _gap_table(x_rows)
         self.gap = np.minimum(_gap_table(o_rows), self.gap_x)
+        # The tilde gap of the grid reflected top to bottom, line j to line
+        # n - 1 - j, so a marker in row r goes to row n - 2 - r mod n: the
+        # rectangles into a state are those out of its reflection.
+        self.gap_reflected = np.minimum(*(_gap_table((-2 - rows) % n) for rows in (o_rows, x_rows)))
         # Doubled Alexander weights of the points, shifted per column to
-        # start at 0: A(x) = (sum_i weights[i, x_i] + weight_base + JOO - JXX
-        # - (n-1)) / 2, and every sum is below weight_span.
+        # start at 0, and the doubled Alexander grading of weight sum 0:
+        # A(x) = (sum_i weights[i, x_i] + shift) / 2, and every sum is below
+        # weight_span.
         w = self.FX - self.FO
-        self.weight_base = int(w.min(axis=1).sum())
+        self.shift = int(w.min(axis=1).sum()) + self.JOO - self.JXX - (n - 1)
         self.weights = (w - w.min(axis=1, keepdims=True)).astype(np.int16)
         self.weight_span = int(self.weights.max(axis=1).sum()) + 1
 
@@ -123,15 +128,15 @@ def grading_tables(G):
 def grade_array(G, P):
     """Maslov and Alexander gradings of the generators in the rows of ``P``.
 
-    The module-docstring formulas for a whole (N x n) state array at once;
+    The module-docstring formulas for a whole (N x n) state array at once,
+    A read off the point weights and ``shift`` of ``GradingTables``;
     returns the two int64 arrays (M, A).
     """
     t = grading_tables(G)
     P = np.asarray(P).reshape(-1, t.n)
     cols = np.arange(t.n)
     sumO = t.FO[cols, P].sum(axis=1)
-    sumX = t.FX[cols, P].sum(axis=1)
-    a2 = sumX - sumO + t.JOO - t.JXX - (t.n - 1)
+    a2 = t.weights[cols, P].sum(axis=1) + t.shift
     if (a2 % 2).any():
         raise AsymmetricResult("half-integer Alexander grading on a knot grid")
     return _noninversions(P) - sumO + t.JOO + 1, a2 // 2

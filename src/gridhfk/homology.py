@@ -3,23 +3,25 @@
 The tilde complex over all n! generators is processed one Alexander grading
 at a time: the differential preserves A, so each fiber is an independent
 chain complex graded by Maslov degree.  A counting table sizes every fiber
-against the budget first; then one frontier sweep over the columns lists
-all the fibers together, carrying each partial generator's weight and
-Maslov grading along (``enumerate_fibers``).  A fiber's blocks are ranked
-from the highest Maslov degree down, with clearing: a column of d_m whose
-generator tops a reduced pivot of d_{m+1} reduces to zero, so it is dropped
-before the block is built, and about half the columns never get rectangles
-(``_fiber_ranks``).  The fibers go in rounds, the r-th block of each fiber
-in round r, and the small blocks of a round are built together, in one
-vectorized pass (``boundary_blocks``; ``slice_boundary`` is its one-block
-case), but each is ranked on its own.  Hat-flavor data is recovered by
-exact division of the tilde Poincare polynomial by (1 + q^-1 t^-1)^(n-1);
-inexact division is a hard failure, never papered over.
+(``_fiber_sizes``), and each is held to the budget first; then one frontier
+sweep over the columns lists all the fibers together, carrying each partial
+generator's weight and Maslov grading along (``enumerate_fibers``).  A
+fiber's blocks are ranked from the highest Maslov degree down, with
+clearing: a column of d_m whose generator tops a reduced pivot of d_{m+1}
+reduces to zero, so it is dropped before the block is built, and about half
+the columns never get rectangles (``_fiber_ranks``).  The fibers go in
+rounds, the r-th block of each fiber in round r, and the small blocks of a
+round are built together, in one vectorized pass (``boundary_blocks``;
+``slice_boundary`` is its one-block case), but each is ranked on its own.
+Hat-flavor data is recovered by exact division of the tilde Poincare
+polynomial by (1 + q^-1 t^-1)^(n-1); inexact division is a hard failure,
+never papered over.
 
 A tilde vanishing verdict lists no fiber: it solves dz = cycle on the
 cycle's own connected component of the boundary between two slices, grown
-from the cycle with the rectangles into it (``incoming``) and out of what
-it reaches, and is exact when a preimage checks or the component closes.
+from the cycle with the rectangles into it (``incoming``: those out of the
+reflected states, under the reflected grid's marker gap) and out of what it
+reaches, and is exact when a preimage checks or the component closes.
 
 The Alexander polynomial comes from a different route entirely: over Z
 the determinant of the n x n matrix of T^(per-point Alexander weight) is
@@ -35,7 +37,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 
 import numpy as np
@@ -43,7 +45,7 @@ import numpy as np
 from .errors import AsymmetricResult, BudgetExceeded, ConfigError, DivisionInexact
 from .errors import EulerMismatch, MultiComponent, NotACycle, OutOfRange
 from .floer import FLAVORS, bigrading, differential, grade_array, grading_tables, rectangles
-from .grid import GridDiagram, component_count
+from .grid import component_count
 from .linalg import ColumnSpan, SparseF2Matrix, f2_solve, rank_from_entries
 
 DEFAULT_MAX_SLICE = 5_000_000
@@ -106,11 +108,11 @@ def _find(sorted_codes, codes):
 def enumerate_fibers(G):
     """All n! generators bucketed by Alexander grading, in one sweep.
 
-    The size of every fiber is read off the grid's counting table first, so
-    a grid is refused before any generator is listed: when its n!
-    generators cannot fit in its Alexander range under the slice budget,
-    when a fiber exceeds the budget, or when the integer fibers miss
-    generators (a link grid).  Then one frontier sweep lists every
+    The size of every fiber is read off the grid's counting table first
+    (``_fiber_sizes``), so a grid is refused before any generator is listed:
+    when its n! generators cannot fit in its Alexander range under the slice
+    budget, when the integer fibers miss generators (a link grid), or when a
+    fiber exceeds the budget.  Then one frontier sweep lists every
     generator with its weight sum and Maslov grading (``_sweep``), and one
     stable sort by (A, M) splits them into fibers.  Returns {A: (codes, M)}
     in increasing A, with codes the byte codes of the generators and M the
@@ -118,21 +120,17 @@ def enumerate_fibers(G):
     """
     n = G.n
     t = grading_tables(G)
-    shift = t.weight_base + t.JOO - t.JXX - (n - 1)  # doubled A of weight 0
-    span = range((shift + 1) // 2, (shift + t.weight_span + 1) // 2)
+    fibers = len(range(t.shift % 2, t.weight_span, 2))  # as many as _fiber_sizes gives
     cap = max_slice_budget()
-    if len(span) and factorial(n) > cap * len(span):
+    if fibers and factorial(n) > cap * fibers:
         raise BudgetExceeded(
-            f"{factorial(n)} generators over {len(span)} Alexander fibers for n={n}:"
+            f"{factorial(n)} generators over {fibers} Alexander fibers for n={n}:"
             f" some fiber exceeds budget {cap}"
         )
-    weights = [2 * a - shift for a in span]
-    sizes = _fiber_counts(G)[-1, weights].tolist()
-    if sum(sizes) != factorial(n):
+    sizes = _fiber_sizes(G)
+    if sum(sizes.values()) != factorial(n):
         raise AsymmetricResult("integer Alexander fibers miss generators: a link grid?")
-    for a, size in zip(span, sizes):
-        if size > cap:
-            raise BudgetExceeded(f"fiber A={a}: {size} generators exceed budget {cap}")
+    _hold_to_budget(sizes, cap)
     states, weight, M = _sweep(G)
     # the sweep lists in code order, so a stable sort by weight, then M,
     # leaves each fiber in (M, code) order
@@ -142,7 +140,7 @@ def enumerate_fibers(G):
     codes, M = _encode(states)[order], M[order]
     return {
         a: (codes[end - size : end], M[end - size : end])
-        for a, size, end in zip(span, sizes, itertools.accumulate(sizes))
+        for (a, size), end in zip(sizes.items(), itertools.accumulate(sizes.values()))
         if size
     }
 
@@ -154,23 +152,19 @@ def generators_with_alexander(G, A):
     budget before anything is listed; then ``_sweep`` lists it, pruned to
     its one weight.  Rows come out in lexicographic order.
     """
-    n = G.n
-    t = grading_tables(G)
     cap = max_slice_budget()
-    counts = _fiber_counts(G)
-    need = 2 * A - (t.JOO - t.JXX - (n - 1)) - t.weight_base  # the fiber's weight sum
-    size = int(counts[-1, need]) if 0 <= need < t.weight_span else 0
-    if size > cap:
-        raise BudgetExceeded(f"fiber A={A}: {size} generators exceed budget {cap}")
+    size = _fiber_sizes(G).get(A, 0)
+    _hold_to_budget({A: size}, cap)
     if not size:
-        return np.zeros((0, n), dtype=np.int8)
-    return _sweep(G, need)[0]
+        return np.zeros((0, G.n), dtype=np.int8)
+    return _sweep(G, 2 * A - grading_tables(G).shift)[0]
 
 
-def _fiber_counts(G):
-    """The grid's fiber counting table (``GradingTables.fiber_counts``),
-    refused before it is built if its bytes exceed max(budget, default
-    budget) x n, which no table for n <= 14 comes near."""
+def _fiber_sizes(G):
+    """{A: number of generators} over the grid's Alexander range, zeros
+    included, read off its counting table (``GradingTables.fiber_counts``).
+    The table is refused before it is built if its bytes exceed max(budget,
+    default budget) x n, which no table for n <= 14 comes near."""
     n = G.n
     t = grading_tables(G)
     cap = max(max_slice_budget(), DEFAULT_MAX_SLICE)
@@ -180,7 +174,15 @@ def _fiber_counts(G):
             f"fiber search table of {table} bytes for n={n} exceeds {n} bytes per generator"
             f" of budget {cap}"
         )
-    return t.fiber_counts
+    counts = t.fiber_counts[-1].tolist()
+    return {(w + t.shift) // 2: counts[w] for w in range(t.shift % 2, t.weight_span, 2)}
+
+
+def _hold_to_budget(sizes, cap):
+    """Refuse the first fiber of ``sizes`` ({A: size}) over the budget."""
+    for a, size in sizes.items():
+        if size > cap:
+            raise BudgetExceeded(f"fiber A={a}: {size} generators exceed budget {cap}")
 
 
 @lru_cache(maxsize=None)
@@ -291,7 +293,7 @@ def boundary_blocks(G, pairs):
 
 def _fiber_ranks(G, fibers):
     """Per-Maslov homology ranks of Alexander fibers, each (codes, M) sorted
-    by (M, code); returns (ranks, slice sizes) for each.
+    by (M, code); returns {M: rank} for each, zero ranks dropped.
 
     Each fiber's blocks are ranked from the highest Maslov degree down,
     with clearing (Chen-Kerber; PHAT): a reduced column of block m+1 with
@@ -326,15 +328,10 @@ def _fiber_ranks(G, fibers):
             for (f, m, src, tgt), entries in zip(batch, boundary_blocks(G, [w[2:] for w in batch])):
                 cleared[f][m - 1] = tops = []
                 brank[f][m] = rank_from_entries(len(tgt), len(src), entries, tops)
-    out = []
-    for groups, b in zip(slices, brank):
-        ranks = {}
-        for m, cs in groups.items():
-            h = len(cs) - b.get(m, 0) - b.get(m + 1, 0)
-            if h:
-                ranks[m] = h
-        out.append((ranks, {m: len(cs) for m, cs in groups.items()}))
-    return out
+    return [
+        {m: h for m, cs in groups.items() if (h := len(cs) - b.get(m, 0) - b.get(m + 1, 0))}
+        for groups, b in zip(slices, brank)
+    ]
 
 
 def _batches(work):
@@ -349,12 +346,6 @@ def _batches(work):
         size += len(item[2])
     if batch:
         yield batch
-
-
-def _fiber_worker(args):
-    G, A, codes, M = args
-    ranks, counts = _fiber_ranks(G, [(codes, M)])[0]
-    return A, ranks, counts
 
 
 # -- Laurent polynomial helpers ----------------------------------------------
@@ -410,7 +401,7 @@ def format_qt(d):
     return " + ".join(terms)
 
 
-def format_t(exps, var="T"):
+def format_t(exps):
     """Canonical string for an F2 Laurent polynomial given its exponent set."""
     if not exps:
         return "0"
@@ -419,9 +410,9 @@ def format_t(exps, var="T"):
         if e == 0:
             terms.append("1")
         elif e == 1:
-            terms.append(var)
+            terms.append("T")
         else:
-            terms.append(f"{var}^{e}")
+            terms.append(f"T^{e}")
     return " + ".join(terms)
 
 
@@ -455,11 +446,10 @@ def alexander_polynomial(G):
             d -= 1 << b
         digits.append(d)
         det = (det - d) >> b
-    # digit e is the coefficient of T^((e + offset) / 2)
-    offset = t.weight_base + t.JOO - t.JXX - (n - 1)
-    if any(digits[1 - offset % 2 :: 2]):
+    # digit e is the coefficient of T^((e + t.shift) / 2)
+    if any(digits[1 - t.shift % 2 :: 2]):
         raise AsymmetricResult("odd doubled Alexander exponent")
-    poly = digits[offset % 2 :: 2]
+    poly = digits[t.shift % 2 :: 2]
     while poly and not poly[0]:
         poly.pop(0)
     poly = _divide_by_one_minus(poly, n - 1)
@@ -559,29 +549,23 @@ def tilde_homology(G, workers=None):
     if component_count(G) != 1:
         raise MultiComponent("homology requires a single-component grid")
     fibers = enumerate_fibers(G)
-    ranks = {}
-    gen_counts = {}
-    jobs = [(G, A, codes, M) for A, (codes, M) in sorted(fibers.items())]
-    size = min(workers or 1, len(jobs))
+    size = min(workers or 1, len(fibers))
     if size > 1 and G.n >= POOL_MIN_N:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=size) as pool:
-            results = list(pool.map(_fiber_worker, jobs))
+            jobs = pool.map(partial(_fiber_ranks, G), [[fiber] for fiber in fibers.values()])
+            ranked = [fiber for job in jobs for fiber in job]
     else:
-        ranked = _fiber_ranks(G, [job[2:] for job in jobs])
-        results = [(job[1], *fiber) for job, fiber in zip(jobs, ranked)]
-    for A, fiber_ranks, counts in sorted(results):
-        gen_counts[A] = sum(counts.values())
-        for m, d in fiber_ranks.items():
-            ranks[(m, A)] = d
+        ranked = _fiber_ranks(G, list(fibers.values()))
+    ranks = {(m, A): d for A, fiber in zip(fibers, ranked) for m, d in fiber.items()}
     hat = hat_from_tilde(ranks, G.n)
     delta = alexander_polynomial(G)
     report = HomologyReport(
         ranks=ranks,
         alexander_mod2=exponents_mod2(delta),
         hat_poincare=hat,
-        generator_counts=gen_counts,
+        generator_counts={A: len(codes) for A, (codes, _) in fibers.items()},
     )
     chi = report.euler_characteristic()
     if chi != delta:
@@ -629,29 +613,22 @@ def class_vanishes(G, chain, flavor="tilde"):
     return _minus0_vanishes(G, chain, bg)
 
 
-@lru_cache(maxsize=128)
-def _reflected(G):
-    """G reflected top to bottom about the line at height (n - 1) / 2: line
-    j goes to n - 1 - j, so the row r cell (heights r - 1 to r) goes to the
-    row n - r cell, and row n to itself."""
-    n = G.n
-    return GridDiagram(n, *(tuple((n - 1 - r) % n + 1 for r in s) for s in (G.sigma_O, G.sigma_X)))
-
-
 def incoming(G, S):
     """Every rectangle the tilde differential counts into the states in the
     rows of ``S``: those from a y to a state x of S that are empty and miss
     every marker.
 
-    Reflecting the torus top to bottom swaps the lower and upper corners of
-    each rectangle and keeps its columns, interior points and markers, so
-    ``rectangles`` on the reflected grid lists the ones from x' to y'.
+    Reflecting the torus top to bottom, line j to line n - 1 - j, swaps the
+    lower and upper corners of each rectangle and keeps its columns,
+    interior points and markers, so ``rectangles``, which reads only n off
+    its grid, lists the ones from x' to y' when run on the reflected states
+    x' with the reflected grid's marker gap (``GradingTables.gap_reflected``).
     Returns, per rectangle, the index of x in ``S`` and the (N' x n) array
     of the y.
     """
-    R = _reflected(G)
-    x, _, _, _, Y = rectangles(R, G.n - 1 - np.asarray(S, dtype=np.int8), grading_tables(R).gap)
-    return x, G.n - 1 - Y
+    top, gap = G.n - 1, grading_tables(G).gap_reflected
+    x, _, _, _, Y = rectangles(G, top - np.asarray(S, dtype=np.int8), gap)
+    return x, top - Y
 
 
 def _tilde_vanishes(G, chain, bg):

@@ -138,23 +138,19 @@ def kunneth_check(G1, G2, workers=None):
     rep2 = tilde_homology(G2, workers=workers)
     repsum = tilde_homology(Gsum, workers=workers)
     tensor = tensor_table(rep1.hat_poincare, rep2.hat_poincare)
-    bg1 = bigrading(G1, x_plus(G1))
-    bg2 = bigrading(G2, x_plus(G2))
-    bgsum = bigrading(Gsum, x_plus(Gsum))
-    v1 = class_vanishes(G1, [x_plus(G1)])
-    v2 = class_vanishes(G2, [x_plus(G2)])
-    vsum = class_vanishes(Gsum, [x_plus(Gsum)])
-    expected = "Survives" if (v1 == "Survives" and v2 == "Survives") else "Vanishes"
+    x1, x2, xsum = (lambda_status(G) for G in (G1, G2, Gsum))
+    verdicts = (x1.tilde_verdict, x2.tilde_verdict, xsum.tilde_verdict)
+    expected = "Survives" if verdicts[:2] == ("Survives", "Survives") else "Vanishes"
     return KunnethReport(
         sum_grid=Gsum,
         hat_match=repsum.hat_poincare == tensor,
         hat_sum=repsum.hat_poincare,
         hat_tensor=tensor,
-        bigrading_additive=bgsum == bg1 + bg2,
-        bigrading_sum=bgsum,
-        bigrading_expected=bg1 + bg2,
-        vanishing_rule_holds=vsum == expected,
-        verdicts=(v1, v2, vsum),
+        bigrading_additive=xsum.bigrading == x1.bigrading + x2.bigrading,
+        bigrading_sum=xsum.bigrading,
+        bigrading_expected=x1.bigrading + x2.bigrading,
+        vanishing_rule_holds=verdicts[2] == expected,
+        verdicts=verdicts,
     )
 
 

@@ -232,6 +232,8 @@ def apply_move(G, move):
             raise IllegalCommutation(f"{line}s {i}, {i + 1} have interleaved marker spans")
         return GridDiagram(n, *sigmas)
     stab_type, c, r = move.stab_type, move.col, move.row
+    if kind in ("stab", "destab") and stab_type not in STAB_TYPES:
+        raise OutOfRange(f"unknown stabilization type {stab_type!r}")
     if kind == "stab":
         marker, _ = stab_type.split(":")
         if not (1 <= c <= n and 1 <= r <= n):

@@ -122,13 +122,16 @@ def test_grading_tables_cached(trefoil):
 
 
 def test_maslov2_pair_matches_bigrading(rng):
-    # the per-state oracle formula against the vectorized gradings, one
-    # state at a time and as one array
-    G = random_knot(rng, 6)
-    states = list(itertools.islice(all_states(6), 50))
-    M, A = grade_array(G, np.array(states, dtype=np.int8))
-    for k, state in enumerate(states):
-        mo2, mx2 = oracles.maslov2_pair(G, state)
-        bg = bigrading(G, state)
-        assert mo2 == 2 * bg.M == 2 * M[k]
-        assert (mo2 - mx2) // 2 - (G.n - 1) == 2 * bg.A == 2 * A[k]
+    # the per-state oracle formula, from the point tables, against the
+    # vectorized gradings, whose A comes from the weights and their shift:
+    # one state at a time and as one array
+    grids = [e.grid for e in builtin_entries()]
+    grids += [random_knot(rng, n) for n in range(2, 10) for _ in range(2)]
+    for G in grids:
+        states = [tuple(rng.sample(range(G.n), G.n)) for _ in range(40)]
+        M, A = grade_array(G, np.array(states, dtype=np.int8))
+        for k, state in enumerate(states):
+            mo2, mx2 = oracles.maslov2_pair(G, state)
+            bg = bigrading(G, state)
+            assert mo2 == 2 * bg.M == 2 * M[k]
+            assert (mo2 - mx2) // 2 - (G.n - 1) == 2 * bg.A == 2 * A[k]

@@ -108,6 +108,19 @@ def test_destabilize_requires_pattern(trefoil):
         apply_move(trefoil, destabilize("X:NW", 1, 1))
 
 
+@pytest.mark.parametrize("stab_type", ["X:XX", "XNW", "Q:NW"])
+def test_apply_move_refuses_unknown_stab_types(trefoil, stab_type):
+    # moves built in code, where only the type is wrong: a stabilization of
+    # the O of column 1 (an O type applies there) and a destabilization of
+    # a block that one of STAB_TYPES names
+    G2 = apply_move(trefoil, stabilize("O:NW", 1, trefoil.sigma_O[0]))
+    _, c, r = legal_destabilizations(G2)[0]
+    stab, destab = stabilize(stab_type, 1, trefoil.sigma_O[0]), destabilize(stab_type, c, r)
+    for G, move in ((trefoil, stab), (G2, destab)):
+        with pytest.raises(OutOfRange, match="unknown stabilization type"):
+            apply_move(G, move)
+
+
 def test_legal_destabilizations_found_after_stabilizing(trefoil):
     G2 = apply_move(trefoil, stabilize("O:SE", 2, trefoil.sigma_O[1]))
     found = legal_destabilizations(G2)

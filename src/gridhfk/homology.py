@@ -588,7 +588,7 @@ def _check_cycle(G, chain, flavor):
         raise NotACycle(f"chain has nonzero {flavor} differential")
 
 
-def class_vanishes(G, chain, flavor="tilde"):
+def class_vanishes(G, chain, flavor="tilde", grading=None):
     """Vanishing verdict for the homology class of an F2 cycle.
 
     tilde: exact.  Solves for a preimage on the cycle's component of the
@@ -597,16 +597,22 @@ def class_vanishes(G, chain, flavor="tilde"):
 
     minus0: bounded.  Searches preimages with U-monomials of total degree at
     most ``MINUS0_CAP``; returns "Vanishes" (definitive) or "NoPreimageUpToCap".
+
+    A chain that is not homogeneous in (M, A), or not a cycle, raises
+    ``NotACycle``.  A caller that has already graded the chain passes its
+    ``Bigrading`` as ``grading``; the chain is then not graded again.
     """
     if flavor not in FLAVORS:
         raise OutOfRange(f"unknown flavor {flavor!r}")
     chain = [tuple(s) for s in chain]
     if not chain:
         return "Vanishes"
-    gradings = {bigrading(G, s) for s in chain}
-    if len(gradings) != 1:
-        raise NotACycle("chain is not homogeneous in (M, A)")
-    bg = gradings.pop()
+    bg = grading
+    if bg is None:
+        gradings = {bigrading(G, s) for s in chain}
+        if len(gradings) != 1:
+            raise NotACycle("chain is not homogeneous in (M, A)")
+        bg = gradings.pop()
     _check_cycle(G, chain, flavor)
     if flavor == "tilde":
         return _tilde_vanishes(G, chain, bg)

@@ -40,7 +40,6 @@ def x_minus(G):
 @dataclass(frozen=True, slots=True)
 class InvariantStatus:
     sign: str  # "+" or "-"
-    cycle: tuple
     bigrading: Bigrading
     tilde_verdict: str  # Vanishes | Survives
     minus_corroboration: str = "NotRun"  # Vanishes | NoPreimageUpToCap | NotRun
@@ -62,13 +61,12 @@ def lambda_status(G, sign="+", corroborate=False):
     """Bigrading and vanishing status of the lambda invariant cycle."""
     cycle = x_plus(G) if sign == "+" else x_minus(G)
     bg = bigrading(G, cycle)
-    verdict = class_vanishes(G, [cycle], flavor="tilde")
+    verdict = class_vanishes(G, [cycle], flavor="tilde", grading=bg)
     corr = "NotRun"
     if corroborate:
-        corr = class_vanishes(G, [cycle], flavor="minus0")
+        corr = class_vanishes(G, [cycle], flavor="minus0", grading=bg)
     return InvariantStatus(
         sign=sign,
-        cycle=cycle,
         bigrading=bg,
         tilde_verdict=verdict,
         minus_corroboration=corr,
@@ -157,17 +155,26 @@ def kunneth_check(G1, G2, workers=None):
 # -- transverse non-simplicity pipeline ------------------------------------------
 
 
-def _ensure_corners(G):
-    if has_corner_x(G) and has_corner_o(G):
-        return G
-    return normalize_corners(G)
+def _normalized(grids):
+    """``{G: grid of G with both corners}`` over the distinct grids of
+    ``grids``, running the corner search once for each that lacks one."""
+    return {
+        G: G if has_corner_x(G) and has_corner_o(G) else normalize_corners(G)
+        for G in dict.fromkeys(grids)
+    }
 
 
 def iterated_connect_sum(grids):
-    """Left fold of connect_sum, normalizing corners as needed."""
-    acc = _ensure_corners(grids[0])
+    """Left fold of connect_sum over the summands with both corners.
+
+    Each distinct summand is searched for its corners once per call; a sum
+    of summands with both corners keeps both, so the running sum needs no
+    search.
+    """
+    normal = _normalized(grids)
+    acc = normal[grids[0]]
     for G in grids[1:]:
-        acc = connect_sum(_ensure_corners(acc), _ensure_corners(G))
+        acc = connect_sum(acc, normal[G])
     return acc
 
 
@@ -176,7 +183,10 @@ def nonsimplicity_pipeline(GA, GB, reps=1):
 
     The two composites share their self-linking number by construction;
     differing verdicts certify a transversely non-simple pair.  Equal
-    verdicts only report "not distinguished" - never "simple".
+    verdicts only report "not distinguished" - never "simple".  Each
+    distinct summand (GB, and GA when reps > 1) is searched for its corners
+    once per call and both sides fold the normalized grids; with reps == 1
+    side A is GA itself.
     """
     for G in (GA, GB):
         if component_count(G) != 1:
@@ -185,8 +195,9 @@ def nonsimplicity_pipeline(GA, GB, reps=1):
     sl_b = classical_invariants(GB).sl_plus
     if sl_a != sl_b:
         raise SlMismatch(f"sl_plus differs: {sl_a} vs {sl_b}")
-    side_b = iterated_connect_sum([GB] * reps)
-    side_a = iterated_connect_sum([GA] + [GB] * (reps - 1)) if reps > 1 else GA
+    normal = _normalized([GB, GA] if reps > 1 else [GB])
+    side_b = iterated_connect_sum([normal[GB]] * reps)
+    side_a = iterated_connect_sum([normal[GA]] + [normal[GB]] * (reps - 1)) if reps > 1 else GA
     report = {
         "reps": reps,
         "sl_plus": (classical_invariants(side_a).sl_plus,

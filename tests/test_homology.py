@@ -550,6 +550,29 @@ def test_class_vanishes_x_plus(trefoil, figure_eight):
     assert class_vanishes(figure_eight, [x_plus(figure_eight)]) == "Vanishes"
 
 
+def test_class_vanishes_with_given_grading(monkeypatch, rng, trefoil):
+    # a grading handed in gives the verdicts of a graded chain, and the
+    # chain is still checked to be a cycle
+    cases = []
+    for _ in range(12):
+        G = random_knot(rng, rng.randint(2, 6))
+        for cycle in (x_plus(G), x_minus(G)):
+            for flavor in ("tilde", "minus0"):
+                cases.append((G, cycle, flavor, class_vanishes(G, [cycle], flavor=flavor)))
+    state = next(s for s in itertools.permutations(range(5)) if differential(trefoil, s))
+    graded = bigrading(trefoil, state)
+
+    def ungraded(G, s):
+        raise AssertionError("a chain with a given grading was graded again")
+
+    monkeypatch.setattr(homology, "bigrading", ungraded)
+    for G, cycle, flavor, verdict in cases:
+        grading = bigrading(G, cycle)
+        assert class_vanishes(G, [cycle], flavor=flavor, grading=grading) == verdict
+    with pytest.raises(NotACycle):
+        class_vanishes(trefoil, [state], grading=graded)
+
+
 def test_survives_after_many_rounds_matches_oracle(monkeypatch):
     # x+ of this 8x8 knot survives on a component of 770 x 923 generators,
     # closed only after many rounds; so does x+ + dy for a y whose boundary

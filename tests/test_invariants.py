@@ -16,9 +16,19 @@ from gridhfk import (
     x_minus,
     x_plus,
 )
+import gridhfk.homology
+import gridhfk.invariants
 from gridhfk.corpus import shift_grid
+from gridhfk.front import classical_invariants
 from gridhfk.invariants import iterated_connect_sum
-from gridhfk.moves import apply_move, stabilize
+from gridhfk.moves import (
+    apply_move,
+    connect_sum,
+    has_corner_o,
+    has_corner_x,
+    normalize_corners,
+    stabilize,
+)
 
 from conftest import random_knot
 
@@ -53,6 +63,23 @@ def test_figure_eight_theta_vanishes(figure_eight):
     st = theta_status(figure_eight)
     assert st.tilde_verdict == "Vanishes"
     assert st.bigrading == Bigrading(-2, -1)
+
+
+def test_lambda_status_grades_its_cycle_once(monkeypatch, rng):
+    graded = []
+
+    def counted(G, state):
+        graded.append(tuple(state))
+        return bigrading(G, state)
+
+    for module in (gridhfk.invariants, gridhfk.homology):
+        monkeypatch.setattr(module, "bigrading", counted)
+    for _ in range(10):
+        G = random_knot(rng, rng.randint(2, 6))
+        for sign, cycle in (("+", x_plus(G)), ("-", x_minus(G))):
+            lambda_status(G, sign, corroborate=True)
+            assert graded == [cycle]
+            graded.clear()
 
 
 def test_status_json_shape(trefoil):
@@ -105,7 +132,7 @@ def trefoil_corner_x_grid():
 
 def test_iterated_connect_sum(trefoil):
     G = iterated_connect_sum([trefoil, trefoil])
-    assert G.n in (9, 11, 13)  # factors may need corner normalization
+    assert G.n == 13  # the trefoil needs a stabilization for its corners: 7 + 7 - 1
     from gridhfk import component_count
 
     assert component_count(G) == 1
@@ -130,6 +157,114 @@ def test_pipeline_certifies_synthetic_pair(unknot, trefoil):
     assert report["sl_plus"] == (-1, -1)
     assert report["verdicts"] == ("Vanishes", "Survives")
     assert report["conclusion"] == "transversely non-simple pair certified"
+
+
+def _trefoil_stab_xsw(trefoil):
+    # positive stabilization: sl+ drops from 1 to -1, the unknot's
+    return apply_move(trefoil, stabilize("X:SW", 1, trefoil.sigma_X[0]))
+
+
+def _count_searches(monkeypatch):
+    searched = []
+
+    def counted(G):
+        searched.append(G)
+        return normalize_corners(G)
+
+    monkeypatch.setattr(gridhfk.invariants, "normalize_corners", counted)
+    return searched
+
+
+def test_pipeline_searches_each_distinct_summand_once(monkeypatch, unknot, trefoil):
+    GA, GB = _trefoil_stab_xsw(trefoil), unknot
+    assert not (has_corner_x(GA) and has_corner_o(GA))
+    assert not (has_corner_x(GB) and has_corner_o(GB))
+    cornered = normalize_corners(GA), normalize_corners(GB)
+    searched = _count_searches(monkeypatch)
+    for reps in range(1, 5):
+        # side A is GA itself at reps 1, so only GB is searched
+        nonsimplicity_pipeline(GA, GB, reps)
+        assert searched == ([GB] if reps == 1 else [GB, GA])
+        searched.clear()
+    for reps in (1, 2):
+        nonsimplicity_pipeline(trefoil, trefoil, reps)
+        assert searched == [trefoil]
+        searched.clear()
+    for reps in (1, 2, 3):
+        nonsimplicity_pipeline(*cornered, reps)
+        nonsimplicity_pipeline(cornered[0], cornered[0], reps)
+    assert iterated_connect_sum([cornered[1]] * 3).n == 3 * cornered[1].n - 2
+    assert searched == []
+    assert iterated_connect_sum([trefoil, unknot, trefoil, unknot]).n == 7 + 5 + 7 + 5 - 3
+    assert searched == [trefoil, unknot]
+
+
+def _per_step_fold(grids):
+    """Left fold of connect_sum that searches the raw summand again at every
+    step, and the running sum too when it lacks a corner."""
+
+    def ensure(G):
+        return G if has_corner_x(G) and has_corner_o(G) else normalize_corners(G)
+
+    acc = ensure(grids[0])
+    for G in grids[1:]:
+        acc = connect_sum(ensure(acc), ensure(G))
+    return acc
+
+
+def _per_step_report(GA, GB, reps):
+    side_b = _per_step_fold([GB] * reps)
+    side_a = _per_step_fold([GA] + [GB] * (reps - 1)) if reps > 1 else GA
+    verdicts = tuple(theta_status(S).tilde_verdict for S in (side_a, side_b))
+    distinct = verdicts[0] != verdicts[1]
+    report = {
+        "reps": reps,
+        "sl_plus": tuple(classical_invariants(S).sl_plus for S in (side_a, side_b)),
+        "grid_sizes": (side_a.n, side_b.n),
+        "flavor_note": "via fully blocked complex",
+        "verdicts": verdicts,
+        "conclusion": "transversely non-simple pair certified" if distinct else "not distinguished",
+    }
+    return report, [side_a, side_b]
+
+
+def _assert_pipeline_matches_per_step_fold(monkeypatch, GA, GB, reps):
+    verdict_grids = []
+
+    def recorded(G):
+        verdict_grids.append(G)
+        return theta_status(G)
+
+    monkeypatch.setattr(gridhfk.invariants, "theta_status", recorded)
+    report = nonsimplicity_pipeline(GA, GB, reps)
+    monkeypatch.undo()
+    expected, sides = _per_step_report(GA, GB, reps)
+    assert report == expected
+    assert verdict_grids == sides
+    return report
+
+
+def test_pipeline_matches_per_step_fold_on_golden_cases(monkeypatch, unknot, trefoil):
+    cases = [
+        (trefoil, trefoil, 1, (5, 7)),
+        (_trefoil_stab_xsw(trefoil), unknot, 1, (6, 5)),
+        (trefoil, trefoil, 2, (13, 13)),
+        (unknot, unknot, 2, (9, 9)),
+    ]
+    for GA, GB, reps, sizes in cases:
+        report = _assert_pipeline_matches_per_step_fold(monkeypatch, GA, GB, reps)
+        assert report["grid_sizes"] == sizes
+
+
+def test_pipeline_matches_per_step_fold_on_seeded_pairs(monkeypatch, rng):
+    # pairs of random knots with equal sl+, one in four a knot with itself
+    for k in range(20):
+        GA = random_knot(rng, rng.randint(2, 4))
+        sl = classical_invariants(GA).sl_plus
+        GB = GA
+        while k % 4 and (GB == GA or classical_invariants(GB).sl_plus != sl):
+            GB = random_knot(rng, rng.randint(2, 4))
+        _assert_pipeline_matches_per_step_fold(monkeypatch, GA, GB, 1 + k % 3)
 
 
 def test_stabilization_acts_by_u_on_the_distinguished_cycles(rng):

@@ -17,8 +17,8 @@ from gridhfk.homology import format_qt
 from gridhfk.invariants import tensor_table
 from gridhfk.moves import has_corner_o, has_corner_x
 
-# Patching requires an X in the upper-right corner of the first factor and
-# an O in the lower-left corner of the second.
+# Patching needs an X in the upper-right corner of the first factor and an
+# O in the lower-left corner of the second; these two have them already.
 unknot = get("unknot").grid  # has the corner O
 unknot_x = get("unknot-corner-x").grid  # has the corner X
 
@@ -27,8 +27,9 @@ print("unknot # unknot (3x3):")
 print(render_grid(S))
 print()
 
-# Grids without the right corner markers are fixed up by a sequence of
-# commutations and transverse-class-preserving stabilizations.
+# connect_sum fixes up a factor without its corner marker first, by a
+# sequence of commutations and transverse-class-preserving stabilizations
+# (normalize_corners), so it takes any two knots.
 trefoil = get("trefoil").grid
 print(f"trefoil has corner X: {has_corner_x(trefoil)}, corner O: {has_corner_o(trefoil)}")
 Tn = normalize_corners(trefoil)
@@ -36,6 +37,8 @@ print(f"normalized: n {trefoil.n} -> {Tn.n}, corners X/O:",
       has_corner_x(Tn), has_corner_o(Tn))
 print("sl+ before/after:", classical_invariants(trefoil).sl_plus,
       classical_invariants(Tn).sl_plus)
+n_sum = connect_sum(trefoil, trefoil).n
+print(f"trefoil # trefoil as given: {n_sum}x{n_sum} (the first factor normalized, 5 -> 7)")
 print()
 
 # Self-linking adds with a +1 correction under connected sum.

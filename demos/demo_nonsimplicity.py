@@ -18,11 +18,10 @@ from gridhfk.moves import stabilize
 # self-linking number.
 for name in ("unknot", "trefoil", "figure-eight", "cinquefoil"):
     G = get(name).grid
-    st = lambda_status(G, "+", corroborate=True)
+    st = lambda_status(G, "+")
     print(
         f"{name:>12}: sl+ = {classical_invariants(G).sl_plus:>2},"
-        f" x+ {st.tilde_verdict} at (M, A) = {st.bigrading},"
-        f" U-power corroboration: {st.minus_corroboration}"
+        f" x+ {st.tilde_verdict} at (M, A) = {st.bigrading}"
     )
 print()
 

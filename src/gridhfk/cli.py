@@ -38,9 +38,6 @@ from .moves import (
     apply_moves,
     classify_move,
     connect_sum,
-    has_corner_o,
-    has_corner_x,
-    normalize_corners,
     parse_move_script,
     random_move_sequence,
     stabilize,
@@ -119,9 +116,9 @@ def cmd_homology(args):
 def cmd_invariant(args):
     G = _load(args.file)
     if args.theta:
-        status = theta_status(G, corroborate=args.corroborate)
+        status = theta_status(G)
     else:
-        status = lambda_status(G, sign=args.sign, corroborate=args.corroborate)
+        status = lambda_status(G, sign=args.sign)
     print(status.to_json())
     return EXIT_OK
 
@@ -138,12 +135,7 @@ def cmd_moves(args):
 
 
 def cmd_connsum(args):
-    G1, G2 = _load(args.file_a), _load(args.file_b)
-    if not has_corner_x(G1):
-        G1 = normalize_corners(G1)
-    if not has_corner_o(G2):
-        G2 = normalize_corners(G2)
-    _emit(format_grid(connect_sum(G1, G2)), args.out)
+    _emit(format_grid(connect_sum(_load(args.file_a), _load(args.file_b))), args.out)
     return EXIT_OK
 
 
@@ -272,8 +264,6 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--sign", choices=("+", "-"), default="+")
     p.add_argument("--theta", action="store_true")
-    p.add_argument("--corroborate", action="store_true",
-                   help="also search for a bounded minus-flavor preimage")
     p.set_defaults(func=cmd_invariant)
 
     p = sub.add_parser("moves", help="apply a move script to a grid")

@@ -40,7 +40,8 @@ class OutOfRange(GridError):
 
 
 class CornerConditionUnmet(GridError):
-    """Connected sum requires an X in the upper-right / O in the lower-left corner."""
+    """No grid with an X in the upper-right and an O in the lower-left corner
+    within the corner search's bounds."""
 
 
 class DimensionMismatch(GridError):

@@ -529,8 +529,9 @@ class HomologyReport:
 
 
 def check_workers(workers):
-    """Refuse a worker count that is neither None nor a positive int."""
-    if workers is not None and not (isinstance(workers, int) and workers > 0):
+    """Refuse a worker count that is neither None nor a positive int; a
+    bool is not a count."""
+    if workers is not None and (type(workers) is not int or workers < 1):
         raise OutOfRange(f"workers must be a positive integer, got {workers!r}")
 
 

@@ -4,8 +4,7 @@ x+(G) sits at the upper-right corners of the X cells, x-(G) at the lower
 left; both are cycles in every flavor of the differential.  Vanishing
 verdicts are computed in the fully blocked complex (reports say so), on the
 cycle's own component of the boundary into its slice, so they need no
-Alexander fiber listed; the bounded minus0 search is available as
-corroboration.
+Alexander fiber listed.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, SlMismatch
+from .errors import BudgetExceeded, OutOfRange, SlMismatch
 from .floer import Bigrading, bigrading
 from .front import classical_invariants
 from .grid import component_count
@@ -42,7 +41,6 @@ class InvariantStatus:
     sign: str  # "+" or "-"
     bigrading: Bigrading
     tilde_verdict: str  # Vanishes | Survives
-    minus_corroboration: str = "NotRun"  # Vanishes | NoPreimageUpToCap | NotRun
 
     def to_json(self):
         return json.dumps(
@@ -50,36 +48,30 @@ class InvariantStatus:
                 "sign": self.sign,
                 "bigrading": [self.bigrading.M, self.bigrading.A],
                 "verdict": self.tilde_verdict,
-                "minus_corroboration": self.minus_corroboration,
                 "flavor_note": FLAVOR_NOTE,
             },
             sort_keys=True,
         )
 
 
-def lambda_status(G, sign="+", corroborate=False):
-    """Bigrading and vanishing status of the lambda invariant cycle."""
+def lambda_status(G, sign="+"):
+    """Bigrading and vanishing status of the lambda invariant cycle x+ or
+    x-, by ``sign``, "+" or "-"."""
+    if sign not in ("+", "-"):
+        raise OutOfRange(f"sign must be '+' or '-', got {sign!r}")
     cycle = x_plus(G) if sign == "+" else x_minus(G)
     bg = bigrading(G, cycle)
     verdict = class_vanishes(G, [cycle], flavor="tilde", grading=bg)
-    corr = "NotRun"
-    if corroborate:
-        corr = class_vanishes(G, [cycle], flavor="minus0", grading=bg)
-    return InvariantStatus(
-        sign=sign,
-        bigrading=bg,
-        tilde_verdict=verdict,
-        minus_corroboration=corr,
-    )
+    return InvariantStatus(sign=sign, bigrading=bg, tilde_verdict=verdict)
 
 
-def theta_status(G, corroborate=False):
+def theta_status(G):
     """Transverse invariant: lambda_+ of the grid, read transversely.
 
     The grid is a Legendrian approximation of its positive transverse push
     off, so the same cycle represents the transverse class.
     """
-    return lambda_status(G, sign="+", corroborate=corroborate)
+    return lambda_status(G, sign="+")
 
 
 # -- connected-sum verification -------------------------------------------------
@@ -125,7 +117,7 @@ class KunnethReport:
 
 
 def kunneth_check(G1, G2, workers=None):
-    """Numerical shadow of the connected-sum formula.
+    """Numerical shadow of the connected-sum formula, for any two knots.
 
     Checks (a) the hat rank table of G1 # G2 against the bigraded tensor
     product of the factors' tables, (b) additivity of the x+ bigradings with
@@ -186,8 +178,10 @@ def nonsimplicity_pipeline(GA, GB, reps=1):
     verdicts only report "not distinguished" - never "simple".  Each
     distinct summand (GB, and GA when reps > 1) is searched for its corners
     once per call and both sides fold the normalized grids; with reps == 1
-    side A is GA itself.
+    side A is GA itself.  ``reps`` is an int of at least 1.
     """
+    if type(reps) is not int or reps < 1:  # a bool is not a count
+        raise OutOfRange(f"reps must be an integer of at least 1, got {reps!r}")
     for G in (GA, GB):
         if component_count(G) != 1:
             raise SlMismatch("pipeline inputs must be knots")

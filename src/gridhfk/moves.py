@@ -316,7 +316,10 @@ def _corner_moves(o, x, grow):
             yield _stabilized(o, x, stype, c, sigma[c - 1])
 
 
-def normalize_corners(G, max_extra=3, max_moves=6):
+_MAX_MOVES, _MAX_EXTRA = 6, 3  # corner search bounds: moves, and growth of n
+
+
+def normalize_corners(G):
     """Grid for the same transverse-class knot with an X in the upper-right
     and an O in the lower-left corner cell.
 
@@ -324,7 +327,8 @@ def normalize_corners(G, max_extra=3, max_moves=6):
     sequence of commutations and Legendrian/negative stabilizations is found
     by breadth-first search and finished with a cyclic permutation, so the
     self-linking number, the bigrading of x+ and the transverse invariant
-    class are all preserved.  The grid grows by at most ``max_extra``.
+    class are all preserved.  The search takes at most ``_MAX_MOVES`` moves
+    and grows the grid by at most ``_MAX_EXTRA``.
     The search runs on (sigma_O, sigma_X) marker tuples; only the grid it
     finds is built and validated as a GridDiagram.
     """
@@ -335,14 +339,14 @@ def normalize_corners(G, max_extra=3, max_moves=6):
     # Breadth-first, with the goal tested as each grid is generated: the
     # queue keeps generation order, so this finds the grid a test on
     # dequeue would, without expanding the rest of its level.
-    limit = G.n + max_extra
+    limit = G.n + _MAX_EXTRA
     start = (G.sigma_O, G.sigma_X)
     seen = {start}
     queue = deque([(start, 0)])
     found = (start, _corner_pair(*start))
     while queue and found[1] is None:
         sigmas, depth = queue.popleft()
-        if depth >= max_moves:
+        if depth >= _MAX_MOVES:
             continue
         for child in _corner_moves(*sigmas, len(sigmas[0]) < limit):
             if len(child[0]) > limit or child in seen:
@@ -355,7 +359,7 @@ def normalize_corners(G, max_extra=3, max_moves=6):
     (o, x), pair = found
     if pair is None:
         raise CornerConditionUnmet(
-            f"no corner normalization within {max_moves} moves / +{max_extra} size"
+            f"no corner normalization within {_MAX_MOVES} moves / +{_MAX_EXTRA} size"
         )
     n, (cx, rx) = len(o), pair
     out = GridDiagram(n, *_cycled(o, x, (n - rx) % n, (n - cx) % n))
@@ -367,28 +371,21 @@ def normalize_corners(G, max_extra=3, max_moves=6):
 def connect_sum(G1, G2):
     """Patch G2 onto G1 at G1's corner X and G2's corner O.
 
-    Requires G1 to carry an X in its upper-right corner cell and G2 an O in
-    its lower-left corner cell (normalize_corners arranges this).  The two
-    corner markers are deleted; the result has size n1 + n2 - 1.
+    The patch needs an X in G1's upper-right corner cell and an O in G2's
+    lower-left one; a summand that lacks its corner is replaced by
+    ``normalize_corners`` of it first, which keeps its transverse class.
+    The two corner markers are deleted; the result has size n1 + n2 - 1.
     """
     if not has_corner_x(G1):
-        raise CornerConditionUnmet("first summand needs an X in its upper-right corner")
+        G1 = normalize_corners(G1)
     if not has_corner_o(G2):
-        raise CornerConditionUnmet("second summand needs an O in its lower-left corner")
-    n1, n2 = G1.n, G2.n
-    n = n1 + n2 - 1
-    o = [0] * n
-    x = [0] * n
-    for i in range(1, n1):
-        o[i - 1] = G1.sigma_O[i - 1]
-        x[i - 1] = G1.sigma_X[i - 1]
-    # shared column n1: O from G1, X from G2's first column
-    o[n1 - 1] = G1.sigma_O[n1 - 1]
-    x[n1 - 1] = G2.sigma_X[0] + n1 - 1
-    for k in range(2, n2 + 1):
-        o[n1 + k - 2] = G2.sigma_O[k - 1] + n1 - 1
-        x[n1 + k - 2] = G2.sigma_X[k - 1] + n1 - 1
-    return GridDiagram(n, tuple(o), tuple(x))
+        G2 = normalize_corners(G2)
+    # G2's rows go above G1's; the shared column n1 takes G1's O and the X
+    # of G2's first column
+    lift = G1.n - 1
+    o = G1.sigma_O + tuple(r + lift for r in G2.sigma_O[1:])
+    x = G1.sigma_X[:-1] + tuple(r + lift for r in G2.sigma_X)
+    return GridDiagram(lift + G2.n, o, x)
 
 
 # -- random move sequences (verification batteries) ----------------------------

@@ -60,6 +60,19 @@ def test_homology_hat_trefoil(grid_dir, capsys):
     assert "total rank: 3" in out
 
 
+def test_homology_tilde_text_is_pinned(grid_dir, capsys):
+    # the default flavor prints the tilde table, not the hat one
+    expected = {
+        "unknot": "poincare: q^-1 t^-1 + 1\nalexander mod 2: 1\n",
+        "trefoil": "poincare: q^-4 t^-5 + 5 q^-3 t^-4 + 11 q^-2 t^-3 + 14 q^-1 t^-2"
+        " + 11 t^-1 + 5 q + q^2 t\nalexander mod 2: T^-1 + 1 + T\n",
+    }
+    for name, text in expected.items():
+        code, out, err = run(capsys, "homology", str(grid_dir / f"{name}.grid"))
+        assert (code, err) == (0, "")
+        assert out == "homology of m(K) for the front encoded by the grid\n" + text
+
+
 def test_homology_json(grid_dir, capsys):
     code, out, _ = run(capsys, "homology", "--json", str(grid_dir / "trefoil.grid"))
     assert code == 0
@@ -102,27 +115,31 @@ _INVARIANT_STATUS = {
 }
 _INVARIANT_LINE = (
     '{{"bigrading": [{}, {}], "flavor_note": "via fully blocked complex",'
-    ' "minus_corroboration": "{}", "sign": "{}", "verdict": "{}"}}\n'
+    ' "sign": "{}", "verdict": "{}"}}\n'
 )
 
 
 @pytest.mark.parametrize("name", sorted(_INVARIANT_STATUS))
 def test_invariant_output_is_pinned(grid_dir, capsys, name):
     # the whole JSON line, byte for byte, for each sign with and without
-    # --theta (which always reads x+) and the bounded minus0 search
+    # --theta (which always reads x+)
     m, a, verdict = _INVARIANT_STATUS[name]
     cases = [
-        ([], "+", "NotRun"),
-        (["--sign", "-"], "-", "NotRun"),
-        (["--theta"], "+", "NotRun"),
-        (["--theta", "--sign", "-"], "+", "NotRun"),
-        (["--corroborate"], "+", "NoPreimageUpToCap"),
-        (["--sign", "-", "--corroborate"], "-", "NoPreimageUpToCap"),
+        ([], "+"),
+        (["--sign", "-"], "-"),
+        (["--theta"], "+"),
+        (["--theta", "--sign", "-"], "+"),
     ]
-    for flags, sign, corroboration in cases:
+    for flags, sign in cases:
         code, out, err = run(capsys, "invariant", *flags, str(grid_dir / f"{name}.grid"))
         assert (code, err) == (0, "")
-        assert out == _INVARIANT_LINE.format(m, a, corroboration, sign, verdict)
+        assert out == _INVARIANT_LINE.format(m, a, sign, verdict)
+
+
+def test_invariant_has_no_corroborate_flag(grid_dir, capsys):
+    code, out, err = run(capsys, "invariant", "--corroborate", str(grid_dir / "trefoil.grid"))
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --corroborate" in err
 
 
 def test_moves_roundtrip(grid_dir, tmp_path, capsys):

@@ -230,7 +230,7 @@ def test_pooled_clearing_matches_full_blocks():
     assert tilde_homology(G, workers=2).ranks == expected
 
 
-@pytest.mark.parametrize("workers", [0, -3, 1.5, "2"])
+@pytest.mark.parametrize("workers", [0, -3, 1.5, "2", True])
 def test_bad_workers_are_refused(trefoil, workers):
     with pytest.raises(OutOfRange, match="workers"):
         tilde_homology(trefoil, workers=workers)
@@ -543,6 +543,19 @@ def test_class_vanishes_rejects_non_cycle(trefoil):
             with pytest.raises(NotACycle):
                 class_vanishes(trefoil, [state])
             break
+
+
+def test_class_vanishes_rejects_inhomogeneous_chain(trefoil):
+    # two cycles in different bigradings make no homogeneous class, in
+    # either flavor, whatever each would give alone
+    cycle = x_plus(trefoil)
+    other = next(
+        s for s in itertools.permutations(range(5))
+        if bigrading(trefoil, s) != bigrading(trefoil, cycle)
+    )
+    for flavor in ("tilde", "minus0"):
+        with pytest.raises(NotACycle, match="not homogeneous"):
+            class_vanishes(trefoil, [cycle, other], flavor=flavor)
 
 
 def test_class_vanishes_x_plus(trefoil, figure_eight):

@@ -19,7 +19,9 @@ from gridhfk import (
 import gridhfk.homology
 import gridhfk.invariants
 from gridhfk.corpus import shift_grid
+from gridhfk.errors import OutOfRange
 from gridhfk.front import classical_invariants
+from gridhfk.grid import GridDiagram
 from gridhfk.invariants import iterated_connect_sum
 from gridhfk.moves import (
     apply_move,
@@ -77,18 +79,25 @@ def test_lambda_status_grades_its_cycle_once(monkeypatch, rng):
     for _ in range(10):
         G = random_knot(rng, rng.randint(2, 6))
         for sign, cycle in (("+", x_plus(G)), ("-", x_minus(G))):
-            lambda_status(G, sign, corroborate=True)
+            lambda_status(G, sign)
             assert graded == [cycle]
             graded.clear()
 
 
 def test_status_json_shape(trefoil):
-    data = json.loads(theta_status(trefoil, corroborate=True).to_json())
-    assert data["sign"] == "+"
-    assert data["bigrading"] == [2, 1]
-    assert data["verdict"] == "Survives"
-    assert data["minus_corroboration"] == "NoPreimageUpToCap"
-    assert data["flavor_note"] == "via fully blocked complex"
+    data = json.loads(theta_status(trefoil).to_json())
+    assert data == {
+        "sign": "+",
+        "bigrading": [2, 1],
+        "verdict": "Survives",
+        "flavor_note": "via fully blocked complex",
+    }
+
+
+@pytest.mark.parametrize("sign", ["x", "", "+-", 1, None])
+def test_lambda_status_refuses_other_signs(trefoil, sign):
+    with pytest.raises(OutOfRange, match="sign must be"):
+        lambda_status(trefoil, sign)
 
 
 def test_tensor_table():
@@ -113,6 +122,23 @@ def test_kunneth_small(unknot, unknot_corner_x, trefoil):
     rep = kunneth_check(trefoil_corner_x_grid(), unknot)
     assert rep.ok
     assert rep.bigrading_sum == Bigrading(2, 1)
+
+
+def test_kunneth_takes_summands_without_corners(unknot, trefoil):
+    # both lack the corner X and have the corner O: the sum normalizes the
+    # first factor, the unknot, to 5x5 and takes the second as it is
+    assert not has_corner_x(unknot) and not has_corner_x(trefoil)
+    assert has_corner_o(unknot) and has_corner_o(trefoil)
+    expected = (
+        '{"bigrading_additive": true, "flavor_note": "via fully blocked complex",'
+        ' "hat_match": true, "vanishing_rule_holds": true,'
+        ' "verdicts": ["Survives", "Survives", "Survives"]}'
+    )
+    for G2, n, bg in ((unknot, 6, Bigrading(0, 0)), (trefoil, 9, Bigrading(2, 1))):
+        rep = kunneth_check(unknot, G2)
+        assert rep.ok and rep.to_json() == expected
+        assert rep.sum_grid == connect_sum(normalize_corners(unknot), G2)
+        assert (rep.sum_grid.n, rep.bigrading_sum) == (n, bg)
 
 
 def test_kunneth_below_pool_size_starts_no_pool(monkeypatch):
@@ -147,6 +173,24 @@ def test_pipeline_identical_inputs(trefoil):
 def test_pipeline_sl_mismatch(unknot, trefoil):
     with pytest.raises(SlMismatch):
         nonsimplicity_pipeline(unknot, trefoil)
+
+
+def test_pipeline_refuses_links(unknot):
+    link = GridDiagram(4, (1, 2, 3, 4), (2, 1, 4, 3))
+    for pair in ((link, unknot), (unknot, link)):
+        with pytest.raises(SlMismatch, match="must be knots"):
+            nonsimplicity_pipeline(*pair)
+
+
+@pytest.mark.parametrize("reps", [0, -1, 1.5, "2", True, None])
+def test_pipeline_refuses_bad_reps_before_building_a_grid(monkeypatch, trefoil, reps):
+    def unreached(*args):
+        raise AssertionError("a grid was built or read")
+
+    for name in ("component_count", "classical_invariants", "normalize_corners", "connect_sum"):
+        monkeypatch.setattr(gridhfk.invariants, name, unreached)
+    with pytest.raises(OutOfRange, match="reps must be an integer of at least 1"):
+        nonsimplicity_pipeline(trefoil, trefoil, reps)
 
 
 def test_pipeline_certifies_synthetic_pair(unknot, trefoil):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import gridhfk.moves
 from gridhfk import (
     GridDiagram,
     IllegalCommutation,
@@ -248,28 +249,30 @@ def test_normalize_corners_preserves_transverse_data(rng):
         assert stn.tilde_verdict == st.tilde_verdict, (G, Gn)
 
 
-def _outcome(search, G, **kw):
+def _outcome(search, *args, **kw):
     try:
-        return search(G, **kw)
+        return search(*args, **kw)
     except GridError as exc:
         return type(exc), str(exc)
 
 
-def test_normalize_corners_matches_grid_search(rng):
+def test_normalize_corners_matches_grid_search(monkeypatch, rng):
     grids = [e.grid for e in all_entries()]
     grids += [random_knot(rng, n) for n in range(2, 12) for _ in range(4)]
-    for G in grids:
-        for kw in ({}, {"max_moves": 2}):
-            assert _outcome(normalize_corners, G, **kw) == _outcome(
-                oracles.normalize_corners, G, **kw
-            ), (G, kw)
+    for max_moves in (6, 2):
+        monkeypatch.setattr(gridhfk.moves, "_MAX_MOVES", max_moves)
+        for G in grids:
+            assert _outcome(normalize_corners, G) == _outcome(
+                oracles.normalize_corners, G, max_moves=max_moves
+            ), (G, max_moves)
 
 
-def test_normalize_corners_without_moves_raises():
+def test_normalize_corners_without_moves_raises(monkeypatch):
     G = GridDiagram(3, (1, 2, 3), (2, 3, 1))
     assert not (has_corner_x(G) and has_corner_o(G))
+    monkeypatch.setattr(gridhfk.moves, "_MAX_MOVES", 0)
     with pytest.raises(CornerConditionUnmet, match="within 0 moves"):
-        normalize_corners(G, max_moves=0)
+        normalize_corners(G)
     with pytest.raises(CornerConditionUnmet, match="within 0 moves"):
         oracles.normalize_corners(G, max_moves=0)
 
@@ -289,11 +292,34 @@ def test_connect_sum_worked_example():
     assert alexander_polynomial(S) == {0: 1}
 
 
-def test_connect_sum_requires_corners(unknot, trefoil):
-    with pytest.raises(CornerConditionUnmet):
-        connect_sum(unknot, unknot)  # first factor lacks the corner X
-    with pytest.raises(CornerConditionUnmet):
-        connect_sum(GridDiagram(2, (2, 1), (1, 2)), GridDiagram(2, (2, 1), (1, 2)))
+def test_connect_sum_requires_corners(monkeypatch, unknot):
+    # a summand without its corner is normalized first, and only a failed
+    # normalization refuses the sum
+    G1 = GridDiagram(2, (2, 1), (1, 2))  # the corner X, not the corner O
+    assert connect_sum(unknot, unknot) == connect_sum(normalize_corners(unknot), unknot)
+    assert connect_sum(G1, G1) == connect_sum(G1, normalize_corners(G1))
+    monkeypatch.setattr(gridhfk.moves, "_MAX_MOVES", 0)
+    for pair in ((unknot, unknot), (G1, G1)):
+        with pytest.raises(CornerConditionUnmet, match="within 0 moves"):
+            connect_sum(*pair)
+
+
+def test_connect_sum_normalizes_only_the_corner_it_needs(monkeypatch, rng):
+    # the sum of the summands as given is the patch of G1, normalized by the
+    # oracle search if it lacks the corner X, and G2, if it lacks the corner
+    # O; a failed search fails the sum with the same error
+    grids = [e.grid for e in all_entries()]
+    grids += [random_knot(rng, rng.randint(2, 6)) for _ in range(12)]
+    for max_moves in (6, 1):
+        monkeypatch.setattr(gridhfk.moves, "_MAX_MOVES", max_moves)
+        normal = {G: _outcome(oracles.normalize_corners, G, max_moves=max_moves) for G in grids}
+        for G1 in grids:
+            for G2 in grids:
+                A = G1 if has_corner_x(G1) else normal[G1]
+                B = G2 if has_corner_o(G2) else normal[G2]
+                failed = [H for H in (A, B) if not isinstance(H, GridDiagram)]
+                expected = failed[0] if failed else connect_sum(A, B)
+                assert _outcome(connect_sum, G1, G2) == expected, (G1, G2, max_moves)
 
 
 def test_connect_sum_size_and_components(trefoil_corner_x, trefoil):

@@ -31,7 +31,6 @@ from .invariants import (
     kunneth_check,
     lambda_status,
     nonsimplicity_pipeline,
-    theta_status,
 )
 from .moves import (
     apply_move,
@@ -114,12 +113,7 @@ def cmd_homology(args):
 
 
 def cmd_invariant(args):
-    G = _load(args.file)
-    if args.theta:
-        status = theta_status(G)
-    else:
-        status = lambda_status(G, sign=args.sign)
-    print(status.to_json())
+    print(lambda_status(_load(args.file), sign=args.sign).to_json())
     return EXIT_OK
 
 
@@ -263,7 +257,6 @@ def build_parser():
     p = sub.add_parser("invariant", help="lambda/theta invariant status")
     p.add_argument("file")
     p.add_argument("--sign", choices=("+", "-"), default="+")
-    p.add_argument("--theta", action="store_true")
     p.set_defaults(func=cmd_invariant)
 
     p = sub.add_parser("moves", help="apply a move script to a grid")

@@ -11,8 +11,8 @@ clearing: a column of d_m whose generator tops a reduced pivot of d_{m+1}
 reduces to zero, so it is dropped before the block is built, and about half
 the columns never get rectangles (``_fiber_ranks``).  The fibers go in
 rounds, the r-th block of each fiber in round r, and the small blocks of a
-round are built together, in one vectorized pass (``boundary_blocks``;
-``slice_boundary`` is its one-block case), but each is ranked on its own.
+round are built together, in one vectorized pass (``boundary_blocks``),
+but each is ranked on its own.
 Hat-flavor data is recovered by exact division of the tilde Poincare
 polynomial by (1 + q^-1 t^-1)^(n-1); inexact division is a hard failure,
 never papered over.
@@ -60,8 +60,11 @@ SOLVE_BYTES = 200  # bitset bytes a verdict's reduction may hold per budgeted ge
 # 0.10-0.16 s) and took the 9x9 from 1.15-1.39 s to 0.94-0.97 s.  With lazy
 # pivots and batched blocks, in seven alternating runs in one process, the
 # pool only ties at n = 8 (0.054-0.073 s pooled against 0.052-0.071 s
-# serial; in another such set it lost, 0.063-0.128 s against 0.055-0.078 s),
-# and it takes the 9x9 from 0.47-0.65 s to 0.37-0.40 s.
+# serial; in another such set it lost, 0.063-0.128 s against 0.055-0.078 s).
+# At 9x9 it wins by the median, not in every run: in twelve alternating runs
+# in one process, two seeded 9x9 knots took 0.45-0.71 s serial against
+# 0.29-0.45 s pooled, and the trefoil-corner-x#trefoil sum 0.38-0.59 s
+# against 0.26-0.72 s; in another set of three, the pool lost on the sum.
 POOL_MIN_N = 8
 # Most kept sources whose boundary blocks are built in one call, across the
 # fibers of a round; a larger block is built alone.  Half of the blocks of a
@@ -239,19 +242,6 @@ def _sweep(G, need=None):
 # -- tilde boundary blocks -------------------------------------------------------
 
 
-def slice_boundary(G, src_codes, tgt_codes):
-    """Boundary block of the fully blocked differential between two slices.
-
-    ``src_codes`` are the byte codes of the sources (columns), ``tgt_codes``
-    the sorted codes of the target slice (rows).  Returns the (nnz x 2)
-    int64 array of (row, col) positions hit by an odd number of empty
-    rectangles that miss every marker, each once and sorted by (col, row),
-    as the rank's column reduction reads them.  The one-pair case of
-    ``boundary_blocks``.
-    """
-    return boundary_blocks(G, [(src_codes, tgt_codes)])[0]
-
-
 def _keyed(codes, pair, width, n):
     """Byte codes prefixed by the big-endian ``width``-byte number of their
     pair, so that they sort by pair, then by code."""
@@ -262,13 +252,18 @@ def _keyed(codes, pair, width, n):
 
 
 def boundary_blocks(G, pairs):
-    """The boundary blocks of several (sources, targets) slice pairs, as
-    ``slice_boundary`` gives each, from one ``rectangles`` call, one target
-    lookup and one parity pass over all their sources.
+    """Boundary blocks of the fully blocked differential between slices,
+    one per (sources, targets) pair, from one ``rectangles`` call, one
+    target lookup and one parity pass over all their sources.
 
-    A rectangle's target is looked up among its own pair's targets, in
-    one table keyed by (pair, code), and the positions of every pair are
-    numbered together, then split back per pair.
+    Each pair holds the byte codes of the sources (columns) and the sorted
+    codes of the target slice (rows).  Each block is the (nnz x 2) int64
+    array of (row, col) positions hit by an odd number of empty rectangles
+    that miss every marker, each once and sorted by (col, row), as the
+    rank's column reduction reads them.  A rectangle's target is looked up
+    among its own pair's targets, in one table keyed by (pair, code), and
+    the positions of every pair are numbered together, then split back per
+    pair.
     """
     n = G.n
     srcs, tgts = [p[0] for p in pairs], [p[1] for p in pairs]
@@ -644,20 +639,22 @@ def _tilde_vanishes(G, chain, bg):
     The boundary from slice (M+1, A) to the chain's slice (M, A) splits
     along the connected components of its bipartite graph, with an edge for
     each empty marker-free rectangle, and so does the equation dz = chain.
-    The component is grown from the chain's rows, and the rows and columns
-    seen are kept in sorted code tables.  Each round takes the rows first
-    reached in the round before, adds the sources of the rectangles into
-    them that are not yet columns (``incoming``), adds those columns' whole
-    boundaries, with the targets not yet rows as the next round's rows, and
-    reduces the new columns into the tagged pivots of the old ones
-    (``ColumnSpan``).  New generators are numbered in code order.  A
-    preimage found then has its whole boundary among the rows: "Vanishes",
-    after a product check.  A round that adds no column has closed the
-    component, and any preimage restricted to it would still be one:
-    "Survives".  The slice budget caps the component's rows and columns
-    before each round's arrays are built, and the bitsets of its reduction,
-    rank x (rows + columns) bits at most, to ``SOLVE_BYTES`` bytes per
-    budgeted generator before each reduction.
+    The component is grown from the chain's rows, and the rows seen are
+    kept in a sorted code table.  Each round takes the rows first reached
+    in the round before, adds the sources of the rectangles into them
+    (``incoming``) that are not columns of the round before, adds those
+    columns' whole boundaries, with the targets not yet rows as the next
+    round's rows, and reduces the new columns into the tagged pivots of the
+    old ones (``ColumnSpan``).  No earlier column can be among the sources:
+    a row first reached in round k is the target of no column added before
+    round k - 1, or it would have been reached then.  New generators are
+    numbered in code order.  A preimage found then has its whole boundary
+    among the rows: "Vanishes", after a product check.  A round that adds
+    no column has closed the component, and any preimage restricted to it
+    would still be one: "Survives".  The slice budget caps the component's
+    rows and columns before each round's arrays are built, and the bitsets
+    of its reduction, rank x (rows + columns) bits at most, to
+    ``SOLVE_BYTES`` bytes per budgeted generator before each reduction.
     """
     n = G.n
     cap = max_slice_budget()
@@ -665,30 +662,27 @@ def _tilde_vanishes(G, chain, bg):
     codes, counts = np.unique(_encode(np.array(chain)), return_counts=True)
     frontier = codes[counts % 2 == 1]  # codes of the rows first reached last round
     rows, row_ids = frontier, np.arange(len(frontier))  # the rows seen, by code, and their numbers
-    cols = frontier[:0]  # the columns seen, by code
+    cols = frontier[:0]  # the columns added last round, by code
     span = ColumnSpan(row_ids)
     while span.preimage() is None:
-        if not len(frontier):
-            return "Survives"
         if span.rows > cap:
             raise BudgetExceeded(
                 f"slice (M={bg.M}, A={bg.A}): {span.rows} generators of the cycle's"
                 f" component exceed budget {cap}"
             )
-        # the sources, each once and not yet a column; numpy 2's np.unique
-        # without return_* imports numpy.ma, 1.3 MiB of resident memory
+        # the sources, each once and not a column of last round; numpy 2's
+        # np.unique without return_* imports numpy.ma, 1.3 MiB of resident memory
         new = np.sort(_encode(incoming(G, _decode(frontier, n))[1]))
         new = np.concatenate([new[:1], new[1:][new[1:] != new[:-1]]])
-        new = new[~_find(cols, new)[1]]
-        if not len(new):
+        cols = new[~_find(cols, new)[1]]
+        if not len(cols):
             return "Survives"
-        if span.cols + len(new) > cap:
+        if span.cols + len(cols) > cap:
             raise BudgetExceeded(
-                f"slice (M={bg.M + 1}, A={bg.A}): {span.cols + len(new)} generators of the"
+                f"slice (M={bg.M + 1}, A={bg.A}): {span.cols + len(cols)} generators of the"
                 f" cycle's component exceed budget {cap}"
             )
-        cols = np.sort(np.concatenate([cols, new]), kind="stable")
-        src, _, _, _, T = rectangles(G, _decode(new, n), gap)
+        src, _, _, _, T = rectangles(G, _decode(cols, n), gap)
         targets = _encode(T)
         at, old = _find(rows, targets)
         frontier, row = np.unique(targets[~old], return_inverse=True)
@@ -699,14 +693,14 @@ def _tilde_vanishes(G, chain, bg):
         row_ids = np.concatenate([row_ids, np.arange(span.rows, span.rows + len(frontier))])
         order = np.argsort(rows, kind="stable")
         rows, row_ids = rows[order], row_ids[order]
-        height, width = span.rows + len(frontier), span.cols + len(new)
-        if (span.rank + len(new)) * (height + width) > 8 * SOLVE_BYTES * cap:
+        height, width = span.rows + len(frontier), span.cols + len(cols)
+        if (span.rank + len(cols)) * (height + width) > 8 * SOLVE_BYTES * cap:
             raise BudgetExceeded(
                 f"slice (M={bg.M}, A={bg.A}): reducing the cycle's component of {height} x"
-                f" {width} generators may take {(span.rank + len(new)) * (height + width) // 8}"
+                f" {width} generators may take {(span.rank + len(cols)) * (height + width) // 8}"
                 f" bytes of bitsets, over budget {cap} x {SOLVE_BYTES} bytes"
             )
-        span.add(height, len(new), np.stack([ids, src], axis=1))
+        span.add(height, len(cols), np.stack([ids, src], axis=1))
     return "Vanishes"
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, OutOfRange, SlMismatch
+from .errors import BudgetExceeded, MultiComponent, OutOfRange, SlMismatch
 from .floer import Bigrading, bigrading
 from .front import classical_invariants
 from .grid import component_count
@@ -56,9 +56,11 @@ class InvariantStatus:
 
 def lambda_status(G, sign="+"):
     """Bigrading and vanishing status of the lambda invariant cycle x+ or
-    x-, by ``sign``, "+" or "-"."""
+    x-, by ``sign``, "+" or "-", on a knot grid."""
     if sign not in ("+", "-"):
         raise OutOfRange(f"sign must be '+' or '-', got {sign!r}")
+    if component_count(G) != 1:
+        raise MultiComponent("the lambda invariant requires a single-component grid")
     cycle = x_plus(G) if sign == "+" else x_minus(G)
     bg = bigrading(G, cycle)
     verdict = class_vanishes(G, [cycle], flavor="tilde", grading=bg)
@@ -184,7 +186,7 @@ def nonsimplicity_pipeline(GA, GB, reps=1):
         raise OutOfRange(f"reps must be an integer of at least 1, got {reps!r}")
     for G in (GA, GB):
         if component_count(G) != 1:
-            raise SlMismatch("pipeline inputs must be knots")
+            raise MultiComponent("pipeline inputs must be knots")
     sl_a = classical_invariants(GA).sl_plus
     sl_b = classical_invariants(GB).sl_plus
     if sl_a != sl_b:

@@ -48,7 +48,7 @@ class SparseF2Matrix:
 
 def _distinct(entries):
     """The positions sorted by (col, row), each once, as an (nnz x 2) array.
-    Positions already so, as ``slice_boundary`` gives them, are checked in
+    Positions already so, as ``boundary_blocks`` gives them, are checked in
     one pass and not sorted again."""
     e = _as_array(entries)
     step = np.diff(e, axis=0)

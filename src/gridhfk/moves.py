@@ -375,7 +375,10 @@ def connect_sum(G1, G2):
     lower-left one; a summand that lacks its corner is replaced by
     ``normalize_corners`` of it first, which keeps its transverse class.
     The two corner markers are deleted; the result has size n1 + n2 - 1.
+    Both summands must be knots.
     """
+    if component_count(G1) != 1 or component_count(G2) != 1:
+        raise MultiComponent("connected sum requires two single-component grids")
     if not has_corner_x(G1):
         G1 = normalize_corners(G1)
     if not has_corner_o(G2):

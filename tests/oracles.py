@@ -3,7 +3,7 @@
 Each function here works one generator (or one state) at a time in plain
 Python, and serves the tests as an oracle for
 ``homology.generators_with_alexander``, ``homology.enumerate_fibers``,
-``homology.slice_boundary``, ``floer.rectangles``, ``floer.differential``,
+``homology.boundary_blocks``, ``floer.rectangles``, ``floer.differential``,
 ``floer.grade_array`` and the tilde verdict of ``homology.class_vanishes``;
 ``dense_rank`` is the dense oracle for the ranks of ``linalg``,
 ``eager_pivots`` is the column reduction that builds every column's bitset,
@@ -26,7 +26,7 @@ import numpy as np
 from gridhfk.errors import CornerConditionUnmet, IllegalCommutation, MultiComponent
 from gridhfk.floer import bigrading, grading_tables
 from gridhfk.grid import GridDiagram, component_count
-from gridhfk.homology import slice_boundary
+from gridhfk.homology import boundary_blocks
 from gridhfk.linalg import SparseF2Matrix, f2_solve, rank_from_entries
 from gridhfk.moves import (
     STAB_TYPES,
@@ -268,7 +268,8 @@ def full_block_ranks(G, codes, M):
     for m, src in groups.items():
         tgt = groups.get(m - 1)
         if tgt is not None:
-            brank[m] = rank_from_entries(len(tgt), len(src), slice_boundary(G, src, tgt))
+            block = boundary_blocks(G, [(src, tgt)])[0]
+            brank[m] = rank_from_entries(len(tgt), len(src), block)
     ranks = {}
     for m, cs in groups.items():
         h = len(cs) - brank.get(m, 0) - brank.get(m + 1, 0)

@@ -98,10 +98,15 @@ def test_homology_has_no_force_flag(grid_dir, capsys):
 
 
 def test_invariant_theta(grid_dir, capsys):
-    code, out, _ = run(capsys, "invariant", "--theta", str(grid_dir / "trefoil.grid"))
+    # theta is the x+ status, which the default sign reads; there is no
+    # --theta flag
+    code, out, _ = run(capsys, "invariant", str(grid_dir / "trefoil.grid"))
     assert code == 0
     data = json.loads(out)
-    assert data["verdict"] == "Survives" and data["bigrading"] == [2, 1]
+    assert data["sign"] == "+" and data["verdict"] == "Survives" and data["bigrading"] == [2, 1]
+    code, out, err = run(capsys, "invariant", "--theta", str(grid_dir / "trefoil.grid"))
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --theta" in err
 
 
 # x+ and x- share their bigrading on every corpus grid, and their verdict
@@ -121,15 +126,9 @@ _INVARIANT_LINE = (
 
 @pytest.mark.parametrize("name", sorted(_INVARIANT_STATUS))
 def test_invariant_output_is_pinned(grid_dir, capsys, name):
-    # the whole JSON line, byte for byte, for each sign with and without
-    # --theta (which always reads x+)
+    # the whole JSON line, byte for byte, for each sign
     m, a, verdict = _INVARIANT_STATUS[name]
-    cases = [
-        ([], "+"),
-        (["--sign", "-"], "-"),
-        (["--theta"], "+"),
-        (["--theta", "--sign", "-"], "+"),
-    ]
+    cases = [([], "+"), (["--sign", "+"], "+"), (["--sign", "-"], "-")]
     for flags, sign in cases:
         code, out, err = run(capsys, "invariant", *flags, str(grid_dir / f"{name}.grid"))
         assert (code, err) == (0, "")
@@ -199,6 +198,31 @@ def test_alex_refuses_a_link(tmp_path, capsys):
     code, out, err = run(capsys, "alex", str(link))
     assert (code, out) == (2, "")
     assert err.strip().splitlines() == ["error: the Alexander polynomial requires a single-component grid"]
+
+
+_LINKS = ["n=4\nO=1,2,3,4\nX=2,1,4,3\n", "n=6\nO=1,2,3,4,5,6\nX=2,1,4,3,6,5\n"]
+
+
+@pytest.mark.parametrize("link", _LINKS, ids=["two-components", "three-components"])
+def test_knot_commands_refuse_links(grid_dir, tmp_path, capsys, link):
+    # invariant and connsum refuse a link by name, with exit 2; connsum in
+    # either order, although the link has the corner O the second summand
+    # needs
+    path = tmp_path / "link.grid"
+    path.write_text(link)
+    unknot = str(grid_dir / "unknot.grid")
+    lam = "the lambda invariant requires a single-component grid"
+    summed = "connected sum requires two single-component grids"
+    expected = {
+        ("invariant", str(path)): lam,
+        ("invariant", "--sign", "-", str(path)): lam,
+        ("connsum", unknot, str(path)): summed,
+        ("connsum", str(path), unknot): summed,
+    }
+    for argv, message in expected.items():
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.strip().splitlines() == [f"error: {message}"]
 
 
 def test_corpus_list(capsys):

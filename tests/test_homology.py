@@ -34,8 +34,8 @@ from gridhfk.homology import (
     format_qt,
     format_t,
     hat_from_tilde,
+    boundary_blocks,
     incoming,
-    slice_boundary,
 )
 from gridhfk.invariants import iterated_connect_sum, x_minus
 from gridhfk.moves import connect_sum
@@ -169,7 +169,7 @@ _BATCH_GRIDS = [(e.name, e.grid, 16) for e in builtin_entries()] + [
 def test_every_block_of_every_round_matches_slice_boundary(monkeypatch, name, G, cap):
     # with a small cap, a round's blocks split into several batches and a
     # larger block runs alone; every block of every batch is the one pair
-    # case of the builder, which is slice_boundary
+    # case of boundary_blocks
     real = homology.boundary_blocks
     batches = []
 
@@ -202,7 +202,7 @@ def test_boundary_blocks_look_up_each_pair_in_its_own_targets(rng):
     blocks = homology.boundary_blocks(G, pairs)
     assert len(blocks) == len(pairs) > 256
     for (src, tgt), block in zip(pairs, blocks):
-        assert np.array_equal(block, slice_boundary(G, src, tgt))
+        assert np.array_equal(block, boundary_blocks(G, [(src, tgt)])[0])
         oracle = oracles.boundary_entries(G, _states(src, G.n), _index(tgt, G.n))
         assert set(map(tuple, block.tolist())) == oracle
 
@@ -323,7 +323,7 @@ def test_boundary_entries_mod2(rng):
     src, tgt = codes[M == M.max()], codes[M == M.max() - 1]
     entries = oracles.boundary_entries(G, _states(src, 5), _index(tgt, 5))
     assert all(isinstance(r, int) and isinstance(c, int) for r, c in entries)
-    block = slice_boundary(G, src, tgt)
+    block = boundary_blocks(G, [(src, tgt)])[0]
     assert block.dtype == np.int64 and block.shape == (len(entries), 2)
     assert set(map(tuple, block.tolist())) == entries
 
@@ -350,7 +350,7 @@ def test_slice_builder_matches_oracles(name, G):
         assert set(map(tuple, fiber.tolist())) == set(oracles.fiber_states(G, a))
         for m in np.unique(M):
             src, tgt = codes[M == m], codes[M == m - 1]
-            block = slice_boundary(G, src, tgt)
+            block = boundary_blocks(G, [(src, tgt)])[0]
             oracle = oracles.boundary_entries(G, _states(src, G.n), _index(tgt, G.n))
             assert set(map(tuple, block.tolist())) == oracle
             # the incoming kernel lists the same entries from the targets'
@@ -371,7 +371,7 @@ def test_slice_builder_matches_oracles(name, G):
     # the whole differential at once: rectangles holding markers do reach
     # generators of other slices here, so the marker test must reject them
     every = np.sort(np.concatenate([codes for codes, _ in fibers.values()]))
-    block = slice_boundary(G, every, every)
+    block = boundary_blocks(G, [(every, every)])[0]
     oracle = oracles.boundary_entries(G, _states(every, G.n), _index(every, G.n))
     assert set(map(tuple, block.tolist())) == oracle
     # and so must the reflected marker gap of the incoming kernel: into
@@ -384,7 +384,7 @@ def test_slice_builder_matches_oracles(name, G):
     assert collections.Counter(into) == collections.Counter(out_of)
 
 
-def test_slice_boundary_beyond_sixteen_columns():
+def test_boundary_blocks_beyond_sixteen_columns():
     # states of a 17x17 grid differ in columns a 4-bit packing into one int64
     # word would drop; random sources against every oracle target
     rng = random.Random(1717)
@@ -393,7 +393,8 @@ def test_slice_boundary_beyond_sixteen_columns():
     x_rows = tuple(r - 1 for r in G.sigma_X)
     sources = [tuple(rng.sample(range(17), 17)) for _ in range(40)]
     targets = sorted({t for s in sources for t in oracles.tilde_targets(17, o_rows, x_rows, s)})
-    block = slice_boundary(G, _encode(np.array(sources)), _encode(np.array(targets)))
+    pair = (_encode(np.array(sources)), _encode(np.array(targets)))
+    block = boundary_blocks(G, [pair])[0]
     oracle = oracles.boundary_entries(G, sources, {t: i for i, t in enumerate(targets)})
     assert len(oracle) > 40 and set(map(tuple, block.tolist())) == oracle
 
@@ -610,7 +611,7 @@ def test_survives_after_many_rounds_matches_oracle(monkeypatch):
     bg = bigrading(G, cycle)
     codes, M = enumerate_fibers(G)[bg.A]
     lo, hi = codes[M == bg.M], codes[M == bg.M + 1]
-    block = slice_boundary(G, hi, lo)
+    block = boundary_blocks(G, [(hi, lo)])[0]
     rows = _encode(np.array([cycle])) == lo
     while True:
         cols = np.zeros(len(hi), dtype=bool)
@@ -622,6 +623,40 @@ def test_survives_after_many_rounds_matches_oracle(monkeypatch):
         rows = grown
     sizes = (int(rows.sum()), int(cols.sum()))
     assert [(span.rows, span.cols) for span in spans] == [sizes] * 2 == [(770, 923)] * 2
+
+
+_ROUND_GRIDS = [
+    ("survives-770x923", GridDiagram(8, (5, 7, 8, 1, 2, 6, 3, 4), (1, 5, 6, 4, 7, 3, 2, 8)), 923),
+] + [
+    (f"vanishes{n}", random_knot(random.Random(seed), n), None)
+    for seed, n in ((723, 7), (828, 8), (907, 9))
+]
+
+
+@pytest.mark.parametrize(
+    "name,G,columns", _ROUND_GRIDS, ids=[name for name, _, _ in _ROUND_GRIDS]
+)
+def test_verdict_takes_each_state_as_a_source_once(monkeypatch, name, G, columns):
+    # a round filters the sources it finds against the round before's
+    # columns only, and still no state is an outgoing source twice across
+    # the rounds: every call of rectangles under the grid's own marker gap
+    # (incoming runs under the reflected one) takes new states
+    gap = grading_tables(G).gap
+    calls = []
+
+    def recorded(G, S, marker_gap):
+        if marker_gap is gap:
+            calls.append(_encode(S))
+        return rectangles(G, S, marker_gap)
+
+    monkeypatch.setattr(homology, "rectangles", recorded)
+    verdict = class_vanishes(G, [x_plus(G)])
+    sources = np.concatenate(calls)
+    assert verdict == ("Survives" if columns else "Vanishes")
+    assert len(calls) >= 3
+    assert len(np.unique(sources)) == len(sources)
+    if columns:
+        assert len(sources) == columns
 
 
 def test_verdicts_where_the_fiber_exceeds_the_budget():

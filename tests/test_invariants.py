@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+from functools import partial
 
 import pytest
 
@@ -19,7 +20,7 @@ from gridhfk import (
 import gridhfk.homology
 import gridhfk.invariants
 from gridhfk.corpus import shift_grid
-from gridhfk.errors import OutOfRange
+from gridhfk.errors import MultiComponent, OutOfRange
 from gridhfk.front import classical_invariants
 from gridhfk.grid import GridDiagram
 from gridhfk.invariants import iterated_connect_sum
@@ -100,6 +101,22 @@ def test_lambda_status_refuses_other_signs(trefoil, sign):
         lambda_status(trefoil, sign)
 
 
+_LINKS = [
+    GridDiagram(4, (1, 2, 3, 4), (2, 1, 4, 3)),
+    GridDiagram(6, (1, 2, 3, 4, 5, 6), (2, 1, 4, 3, 6, 5)),
+]
+
+
+@pytest.mark.parametrize("link", _LINKS, ids=["two-components", "three-components"])
+def test_lambda_status_refuses_links(link):
+    # the knot normalization of the Alexander grading means nothing on a
+    # link: a two-component grid would read as a grading bug, and a
+    # three-component one would get a verdict
+    for status in (lambda_status, partial(lambda_status, sign="-"), theta_status):
+        with pytest.raises(MultiComponent, match="single-component"):
+            status(link)
+
+
 def test_tensor_table():
     t1 = {(0, 0): 1, (1, 1): 2}
     t2 = {(0, 0): 1, (-1, -1): 1}
@@ -176,10 +193,10 @@ def test_pipeline_sl_mismatch(unknot, trefoil):
 
 
 def test_pipeline_refuses_links(unknot):
-    link = GridDiagram(4, (1, 2, 3, 4), (2, 1, 4, 3))
-    for pair in ((link, unknot), (unknot, link)):
-        with pytest.raises(SlMismatch, match="must be knots"):
-            nonsimplicity_pipeline(*pair)
+    for link in _LINKS:
+        for pair in ((link, unknot), (unknot, link)):
+            with pytest.raises(MultiComponent, match="must be knots"):
+                nonsimplicity_pipeline(*pair)
 
 
 @pytest.mark.parametrize("reps", [0, -1, 1.5, "2", True, None])

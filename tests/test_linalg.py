@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from gridhfk import linalg
 from gridhfk.corpus import builtin_entries
 from gridhfk.errors import DimensionMismatch, PreimageMismatch
-from gridhfk.homology import enumerate_fibers, slice_boundary
+from gridhfk.homology import boundary_blocks, enumerate_fibers
 from gridhfk.linalg import ColumnSpan, SparseF2Matrix, f2_rank, f2_solve, rank_from_entries
 
 from conftest import random_knot
@@ -139,7 +139,7 @@ def test_rank_of_every_boundary_block_matches_dense_oracle(name, G):
     for codes, M in enumerate_fibers(G).values():
         for m in np.unique(M):
             src, tgt = codes[M == m], codes[M == m - 1]
-            block = slice_boundary(G, src, tgt)
+            block = boundary_blocks(G, [(src, tgt)])[0]
             expected = dense_rank(len(tgt), len(src), block.tolist())
             assert rank_from_entries(len(tgt), len(src), block) == expected
             # each block comes sorted by (col, row) with no repeats, so the
@@ -185,7 +185,7 @@ def test_lazy_pivots_match_eager_on_every_boundary_block(name, G):
     for codes, M in enumerate_fibers(G).values():
         for m in np.unique(M):
             src, tgt = codes[M == m], codes[M == m - 1]
-            _lazy_matches_eager(len(tgt), len(src), slice_boundary(G, src, tgt))
+            _lazy_matches_eager(len(tgt), len(src), boundary_blocks(G, [(src, tgt)])[0])
 
 
 def test_unsorted_repeated_positions_count_once():

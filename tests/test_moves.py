@@ -322,6 +322,21 @@ def test_connect_sum_normalizes_only_the_corner_it_needs(monkeypatch, rng):
                 assert _outcome(connect_sum, G1, G2) == expected, (G1, G2, max_moves)
 
 
+def test_connect_sum_refuses_links(unknot, unknot_corner_x):
+    # a link summand is refused in either place, whether or not it has the
+    # corner the sum needs: these links have the corner O, not the corner X
+    links = [
+        GridDiagram(4, (1, 2, 3, 4), (2, 1, 4, 3)),
+        GridDiagram(6, (1, 2, 3, 4, 5, 6), (2, 1, 4, 3, 6, 5)),
+    ]
+    for link in links:
+        assert has_corner_o(link) and not has_corner_x(link)
+        for knot in (unknot, unknot_corner_x):
+            for pair in ((knot, link), (link, knot)):
+                with pytest.raises(MultiComponent, match="single-component"):
+                    connect_sum(*pair)
+
+
 def test_connect_sum_size_and_components(trefoil_corner_x, trefoil):
     S = connect_sum(trefoil_corner_x, trefoil)
     assert S.n == 9

@@ -22,7 +22,6 @@ from .homology import (
     POOL_MIN_N,
     alexander_polynomial,
     check_workers,
-    exponents_mod2,
     format_qt,
     format_t,
     tilde_homology,
@@ -135,7 +134,7 @@ def cmd_connsum(args):
 
 def cmd_alex(args):
     G = _load(args.file)
-    print(format_t(exponents_mod2(alexander_polynomial(G))))
+    print(format_t(alexander_polynomial(G)))
     return EXIT_OK
 
 
@@ -271,7 +270,7 @@ def build_parser():
     p.add_argument("--out")
     p.set_defaults(func=cmd_connsum)
 
-    p = sub.add_parser("alex", help="Alexander polynomial mod 2")
+    p = sub.add_parser("alex", help="Alexander polynomial over Z")
     p.add_argument("file")
     p.set_defaults(func=cmd_alex)
 

@@ -89,14 +89,31 @@ def max_slice_budget():
 
 
 def _encode(P):
-    """Byte codes of the rows of an (N x n) state array: each row's n int8
-    entries as one void scalar, so codes compare and sort lexicographically."""
+    """Codes of the rows of an (N x n) state array, ordered as the rows are
+    lexicographically.  For n <= 8 a row's n int8 entries, zero-padded to 8
+    bytes, are read big-endian into one native uint64; for larger n they are
+    one void scalar of n bytes, which numpy compares by a generic routine,
+    several times slower in a sort or a ``searchsorted``."""
     P = np.ascontiguousarray(P, dtype=np.int8)
-    return P.view(f"V{P.shape[1]}").ravel()
+    n = P.shape[1]
+    if n > 8:
+        return P.view(f"V{n}").ravel()
+    padded = np.zeros((len(P), 8), dtype=np.int8)
+    padded[:, :n] = P
+    return padded.view(">u8").ravel().astype(np.uint64)
 
 
 def _decode(codes, n):
-    return codes.view(np.int8).reshape(-1, n)
+    if n > 8:
+        return codes.view(np.int8).reshape(-1, n)
+    return codes.astype(">u8").view(np.int8).reshape(-1, 8)[:, :n]
+
+
+def _distinct_codes(codes):
+    """The codes sorted, each once.  numpy 2's np.unique without return_*
+    imports numpy.ma, 1.3 MiB of resident memory."""
+    codes = np.sort(codes)
+    return np.concatenate([codes[:1], codes[1:][codes[1:] != codes[:-1]]])
 
 
 def _find(sorted_codes, codes):
@@ -118,8 +135,9 @@ def enumerate_fibers(G):
     fiber exceeds the budget.  Then one frontier sweep lists every
     generator with its weight sum and Maslov grading (``_sweep``), and one
     stable sort by (A, M) splits them into fibers.  Returns {A: (codes, M)}
-    in increasing A, with codes the byte codes of the generators and M the
-    matching Maslov gradings; entries sorted by (M, code) for determinism.
+    in increasing A, with codes the generators' codes (``_encode``: one
+    uint64 each for n <= 8) and M the matching Maslov gradings; entries
+    sorted by (M, code) for determinism.
     """
     n = G.n
     t = grading_tables(G)
@@ -243,8 +261,12 @@ def _sweep(G, need=None):
 
 
 def _keyed(codes, pair, width, n):
-    """Byte codes prefixed by the big-endian ``width``-byte number of their
-    pair, so that they sort by pair, then by code."""
+    """Codes prefixed by the big-endian ``width``-byte number of their pair,
+    so that they sort by pair, then by code: integer codes shifted down into
+    their zero padding when n + width <= 8, byte codes otherwise."""
+    if n + width <= 8:
+        shift = np.uint64(8 * width)
+        return (pair.astype(np.uint64) << np.uint64(64) - shift) | (codes >> shift)
     out = np.empty((len(codes), width + n), dtype=np.uint8)
     out[:, :width] = pair[:, None] >> 8 * np.arange(width - 1, -1, -1)
     out[:, width:] = _decode(codes, n)
@@ -256,8 +278,8 @@ def boundary_blocks(G, pairs):
     one per (sources, targets) pair, from one ``rectangles`` call, one
     target lookup and one parity pass over all their sources.
 
-    Each pair holds the byte codes of the sources (columns) and the sorted
-    codes of the target slice (rows).  Each block is the (nnz x 2) int64
+    Each pair holds the codes of the sources (columns) and the sorted codes
+    of the target slice (rows).  Each block is the (nnz x 2) int64
     array of (row, col) positions hit by an odd number of empty rectangles
     that miss every marker, each once and sorted by (col, row), as the
     rank's column reduction reads them.  A rectangle's target is looked up
@@ -396,19 +418,20 @@ def format_qt(d):
     return " + ".join(terms)
 
 
-def format_t(exps):
-    """Canonical string for an F2 Laurent polynomial given its exponent set."""
-    if not exps:
-        return "0"
-    terms = []
-    for e in sorted(exps):
-        if e == 0:
-            terms.append("1")
-        elif e == 1:
-            terms.append("T")
-        else:
-            terms.append(f"T^{e}")
-    return " + ".join(terms)
+def format_t(poly):
+    """Canonical string for a Laurent polynomial in T, given as {exponent:
+    nonzero integer coefficient}; an exponent set stands for an F2
+    polynomial."""
+    if not isinstance(poly, dict):
+        poly = dict.fromkeys(poly, 1)
+    out = ""
+    for e in sorted(poly):
+        c = poly[e]
+        var = "" if e == 0 else "T" if e == 1 else f"T^{e}"
+        term = " ".join(filter(None, ["" if abs(c) == 1 and var else str(abs(c)), var]))
+        sign = (" - " if c < 0 else " + ") if out else ("-" if c < 0 else "")
+        out += sign + term
+    return out or "0"
 
 
 # -- Alexander polynomial ------------------------------------------------------
@@ -639,41 +662,40 @@ def _tilde_vanishes(G, chain, bg):
     The boundary from slice (M+1, A) to the chain's slice (M, A) splits
     along the connected components of its bipartite graph, with an edge for
     each empty marker-free rectangle, and so does the equation dz = chain.
-    The component is grown from the chain's rows, and the rows seen are
-    kept in a sorted code table.  Each round takes the rows first reached
-    in the round before, adds the sources of the rectangles into them
-    (``incoming``) that are not columns of the round before, adds those
-    columns' whole boundaries, with the targets not yet rows as the next
-    round's rows, and reduces the new columns into the tagged pivots of the
-    old ones (``ColumnSpan``).  No earlier column can be among the sources:
-    a row first reached in round k is the target of no column added before
-    round k - 1, or it would have been reached then.  New generators are
-    numbered in code order.  A preimage found then has its whole boundary
-    among the rows: "Vanishes", after a product check.  A round that adds
-    no column has closed the component, and any preimage restricted to it
-    would still be one: "Survives".  The slice budget caps the component's
-    rows and columns before each round's arrays are built, and the bitsets
-    of its reduction, rank x (rows + columns) bits at most, to
-    ``SOLVE_BYTES`` bytes per budgeted generator before each reduction.
+    The component is grown from the chain's rows, round by round, keeping
+    only what the next round reads.  Each round takes the rows first
+    reached in the round before (the frontier), adds the sources of the
+    rectangles into them (``incoming``) that are not columns of the round
+    before, adds those columns' whole boundaries, and reduces the new
+    columns into the tagged pivots of the old ones (``ColumnSpan``).  A row
+    first reached in round k is the target of no column added before round
+    k - 1, or it would have been reached then; so no earlier column is
+    among the sources, and a target of the new columns is either in the
+    frontier or a row not yet seen, one of the next round's rows.  Each
+    round's new generators are numbered in code order after those before.
+    A preimage found then has its whole boundary among the rows:
+    "Vanishes", after a product check.  A round that adds no column has
+    closed the component, and any preimage restricted to it would still be
+    one: "Survives".  The slice budget caps the component's rows and
+    columns before each round's arrays are built, and the bitsets of its
+    reduction, rank x (rows + columns) bits at most, to ``SOLVE_BYTES``
+    bytes per budgeted generator before each reduction.
     """
     n = G.n
     cap = max_slice_budget()
     gap = grading_tables(G).gap
     codes, counts = np.unique(_encode(np.array(chain)), return_counts=True)
     frontier = codes[counts % 2 == 1]  # codes of the rows first reached last round
-    rows, row_ids = frontier, np.arange(len(frontier))  # the rows seen, by code, and their numbers
+    base = 0  # the number of the frontier's first row
     cols = frontier[:0]  # the columns added last round, by code
-    span = ColumnSpan(row_ids)
+    span = ColumnSpan(np.arange(len(frontier)))
     while span.preimage() is None:
         if span.rows > cap:
             raise BudgetExceeded(
                 f"slice (M={bg.M}, A={bg.A}): {span.rows} generators of the cycle's"
                 f" component exceed budget {cap}"
             )
-        # the sources, each once and not a column of last round; numpy 2's
-        # np.unique without return_* imports numpy.ma, 1.3 MiB of resident memory
-        new = np.sort(_encode(incoming(G, _decode(frontier, n))[1]))
-        new = np.concatenate([new[:1], new[1:][new[1:] != new[:-1]]])
+        new = _distinct_codes(_encode(incoming(G, _decode(frontier, n))[1]))
         cols = new[~_find(cols, new)[1]]
         if not len(cols):
             return "Survives"
@@ -684,15 +706,12 @@ def _tilde_vanishes(G, chain, bg):
             )
         src, _, _, _, T = rectangles(G, _decode(cols, n), gap)
         targets = _encode(T)
-        at, old = _find(rows, targets)
-        frontier, row = np.unique(targets[~old], return_inverse=True)
+        at, old = _find(frontier, targets)
         ids = np.empty(len(src), dtype=np.int64)
-        ids[old] = row_ids[at[old]]
-        ids[~old] = span.rows + row
-        rows = np.concatenate([rows, frontier])
-        row_ids = np.concatenate([row_ids, np.arange(span.rows, span.rows + len(frontier))])
-        order = np.argsort(rows, kind="stable")
-        rows, row_ids = rows[order], row_ids[order]
+        ids[old] = base + at[old]
+        fresh = targets[~old]
+        frontier, base = _distinct_codes(fresh), span.rows
+        ids[~old] = base + np.searchsorted(frontier, fresh)
         height, width = span.rows + len(frontier), span.cols + len(cols)
         if (span.rank + len(cols)) * (height + width) > 8 * SOLVE_BYTES * cap:
             raise BudgetExceeded(

@@ -180,34 +180,37 @@ def nonsimplicity_pipeline(GA, GB, reps=1):
     verdicts only report "not distinguished" - never "simple".  Each
     distinct summand (GB, and GA when reps > 1) is searched for its corners
     once per call and both sides fold the normalized grids; with reps == 1
-    side A is GA itself.  ``reps`` is an int of at least 1.
+    side A is GA itself.  sl+ is computed once per distinct grid of GA, GB
+    and the sides, and the verdict once per distinct side: when GA == GB and
+    reps > 1, the two sides are one grid.  ``reps`` is an int of at least 1.
     """
     if type(reps) is not int or reps < 1:  # a bool is not a count
         raise OutOfRange(f"reps must be an integer of at least 1, got {reps!r}")
     for G in (GA, GB):
         if component_count(G) != 1:
             raise MultiComponent("pipeline inputs must be knots")
-    sl_a = classical_invariants(GA).sl_plus
-    sl_b = classical_invariants(GB).sl_plus
-    if sl_a != sl_b:
-        raise SlMismatch(f"sl_plus differs: {sl_a} vs {sl_b}")
+    sl = {G: classical_invariants(G).sl_plus for G in dict.fromkeys((GA, GB))}
+    if sl[GA] != sl[GB]:
+        raise SlMismatch(f"sl_plus differs: {sl[GA]} vs {sl[GB]}")
     normal = _normalized([GB, GA] if reps > 1 else [GB])
     side_b = iterated_connect_sum([normal[GB]] * reps)
     side_a = iterated_connect_sum([normal[GA]] + [normal[GB]] * (reps - 1)) if reps > 1 else GA
+    sides = (side_a, side_b)
+    for S in sides:
+        if S not in sl:
+            sl[S] = classical_invariants(S).sl_plus
     report = {
         "reps": reps,
-        "sl_plus": (classical_invariants(side_a).sl_plus,
-                    classical_invariants(side_b).sl_plus),
+        "sl_plus": tuple(sl[S] for S in sides),
         "grid_sizes": (side_a.n, side_b.n),
         "flavor_note": FLAVOR_NOTE,
     }
     if report["sl_plus"][0] != report["sl_plus"][1]:
         raise SlMismatch(f"composites differ in sl_plus: {report['sl_plus']}")
     try:
-        verdict_a = theta_status(side_a).tilde_verdict
-        verdict_b = theta_status(side_b).tilde_verdict
-        report["verdicts"] = (verdict_a, verdict_b)
-        if verdict_a != verdict_b:
+        verdict = {S: theta_status(S).tilde_verdict for S in dict.fromkeys(sides)}
+        report["verdicts"] = tuple(verdict[S] for S in sides)
+        if verdict[side_a] != verdict[side_b]:
             report["conclusion"] = "transversely non-simple pair certified"
         else:
             report["conclusion"] = "not distinguished"

@@ -186,9 +186,12 @@ def test_connsum_worked_example(grid_dir, capsys):
 
 
 def test_alex(grid_dir, capsys):
+    # Delta_K over Z, not its reduction mod 2 (T^-1 + 1 + T for both knots)
     code, out, _ = run(capsys, "alex", str(grid_dir / "figure-eight.grid"))
     assert code == 0
-    assert out.strip() == "T^-1 + 1 + T"
+    assert out.strip() == "-T^-1 + 3 - T"
+    code, out, _ = run(capsys, "alex", str(grid_dir / "trefoil.grid"))
+    assert (code, out.strip()) == (0, "T^-1 - 1 + T")
 
 
 def test_alex_refuses_a_link(tmp_path, capsys):

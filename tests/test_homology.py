@@ -26,7 +26,7 @@ from gridhfk import (
 from gridhfk import homology, linalg
 from gridhfk.corpus import builtin_entries, get
 from gridhfk.errors import OutOfRange, PreimageMismatch
-from gridhfk.floer import grading_tables, rectangles
+from gridhfk.floer import grade_array, grading_tables, rectangles
 from gridhfk.homology import (
     _decode,
     _encode,
@@ -328,6 +328,73 @@ def test_boundary_entries_mod2(rng):
     assert set(map(tuple, block.tolist())) == entries
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_codes_round_trip_in_lexicographic_order(n):
+    # integer codes up to n = 8, byte codes beyond: either way a code
+    # decodes to its state, and codes sort as the states' tuples do
+    rng = random.Random(6000 + n)
+    states = [tuple(rng.sample(range(n), n)) for _ in range(150)]
+    states += [tuple(rng.randrange(n) for _ in range(n)) for _ in range(150)]
+    states += states[:20]  # equal states get equal codes
+    codes = _encode(np.array(states, dtype=np.int8))
+    assert codes.dtype == (np.uint64 if n <= 8 else np.dtype(f"V{n}"))
+    assert _states(codes, n) == states
+    assert _states(np.sort(codes), n) == sorted(states)
+    ranked = sorted(set(states))
+    table = _encode(np.array(ranked, dtype=np.int8))
+    assert np.searchsorted(table, codes).tolist() == [ranked.index(s) for s in states]
+
+
+def _random_pairs(rng, G, count):
+    """``count`` (sources, targets) pairs of a few random states each,
+    against a sorted random share of the states their rectangles reach
+    plus states they do not; some pairs have no sources or no targets."""
+    n = G.n
+    o_rows = tuple(r - 1 for r in G.sigma_O)
+    x_rows = tuple(r - 1 for r in G.sigma_X)
+    pairs = []
+    for k in range(count):
+        sources = [tuple(rng.sample(range(n), n)) for _ in range((k + 2) % 5)]
+        reached = {t for s in sources for t in oracles.tilde_targets(n, o_rows, x_rows, s)}
+        targets = {t for t in reached if rng.random() < 0.7} if k % 7 != 6 else set()
+        targets |= {tuple(rng.sample(range(n), n)) for _ in range(k % 3)}
+        pairs.append((sources, sorted(targets)))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "n,count,key", [(6, 300, "u"), (7, 300, "V"), (8, 2, "V")],
+    ids=["integer-key-n6", "byte-key-n7", "byte-key-n8"],
+)
+def test_boundary_blocks_of_many_pairs(monkeypatch, n, count, key):
+    # more than 256 pairs need a 2-byte pair number: it fits beside an
+    # integer code at n = 6, not at n = 7; at n = 8 even 1 byte does not
+    rng = random.Random(100 * n + count)
+    G = random_knot(rng, n)
+    pairs = _random_pairs(rng, G, count)
+    encoded = [(_encode(np.array(s, dtype=np.int8).reshape(-1, n)),
+                _encode(np.array(t, dtype=np.int8).reshape(-1, n))) for s, t in pairs]
+    keyed, kinds = homology._keyed, []
+
+    def recorded(*args):
+        keys = keyed(*args)
+        kinds.append(keys.dtype.kind)
+        return keys
+
+    monkeypatch.setattr(homology, "_keyed", recorded)
+    blocks = boundary_blocks(G, encoded)
+    monkeypatch.undo()
+    assert kinds == [key, key]
+    assert len(blocks) == count
+    entries = 0
+    for (sources, targets), pair, block in zip(pairs, encoded, blocks):
+        oracle = oracles.boundary_entries(G, sources, {t: i for i, t in enumerate(targets)})
+        assert set(map(tuple, block.tolist())) == oracle
+        assert np.array_equal(block, boundary_blocks(G, [pair])[0])
+        entries += len(oracle)
+    assert entries > count
+
+
 def _oracle_grids():
     rng = random.Random(7070)
     grids = [(e.name, e.grid) for e in builtin_entries()]
@@ -462,6 +529,10 @@ def test_format_helpers():
     assert format_qt({(0, 0): 1}) == "1"
     assert format_t({-1, 0, 1}) == "T^-1 + 1 + T"
     assert format_t(set()) == "0"
+    assert format_t({-1: -1, 0: 3, 1: -1}) == "-T^-1 + 3 - T"
+    assert format_t({-2: 2, -1: -3, 0: 3, 1: -3, 2: 2}) == "2 T^-2 - 3 T^-1 + 3 - 3 T + 2 T^2"
+    assert format_t({0: -1, 3: -2}) == "-1 - 2 T^3"
+    assert format_t({}) == "0"
 
 
 def test_budget_guard(monkeypatch):
@@ -606,23 +677,9 @@ def test_survives_after_many_rounds_matches_oracle(monkeypatch):
     monkeypatch.setattr(homology, "ColumnSpan", Recorded)
     for chain in ([cycle], [cycle, *differential(G, y)]):
         assert class_vanishes(G, chain) == oracles.tilde_verdict(G, chain) == "Survives"
-    # both times the grower holds each generator of x+'s component once:
-    # the component of its row in the graph of the slice boundary block
-    bg = bigrading(G, cycle)
-    codes, M = enumerate_fibers(G)[bg.A]
-    lo, hi = codes[M == bg.M], codes[M == bg.M + 1]
-    block = boundary_blocks(G, [(hi, lo)])[0]
-    rows = _encode(np.array([cycle])) == lo
-    while True:
-        cols = np.zeros(len(hi), dtype=bool)
-        cols[block[rows[block[:, 0]], 1]] = True
-        grown = rows.copy()
-        grown[block[cols[block[:, 1]], 0]] = True
-        if (grown == rows).all():
-            break
-        rows = grown
-    sizes = (int(rows.sum()), int(cols.sum()))
-    assert [(span.rows, span.cols) for span in spans] == [sizes] * 2 == [(770, 923)] * 2
+    # both times the grower holds x+'s whole component (see
+    # test_verdict_grows_the_component_breadth_first)
+    assert [(span.rows, span.cols) for span in spans] == [(770, 923)] * 2
 
 
 _ROUND_GRIDS = [
@@ -657,6 +714,62 @@ def test_verdict_takes_each_state_as_a_source_once(monkeypatch, name, G, columns
     assert len(np.unique(sources)) == len(sources)
     if columns:
         assert len(sources) == columns
+
+
+_COMPONENT_GRIDS = [(name, G) for name, G, _ in _ROUND_GRIDS] + [
+    (f"seeded{n}-{seed}", random_knot(random.Random(seed), n))
+    for n, seed in ((9, 18), (9, 27), (10, 5), (10, 58))
+]
+
+
+@pytest.mark.parametrize("name,G", _COMPONENT_GRIDS, ids=[name for name, _ in _COMPONENT_GRIDS])
+def test_verdict_grows_the_component_breadth_first(monkeypatch, name, G):
+    # after its k rounds the grower holds each generator it reached once:
+    # as many rows and columns as k breadth-first rounds over the graph of
+    # the slice boundary block reach from x+, and, when x+ survives, the
+    # whole closed component.  A target looked up in last round's rows only
+    # would be counted again if it lay among older rows.
+    spans = []
+
+    class Recorded(linalg.ColumnSpan):
+        def __init__(self, b_rows):
+            super().__init__(b_rows)
+            self.rounds = 0
+            spans.append(self)
+
+        def add(self, *args):
+            self.rounds += 1
+            return super().add(*args)
+
+    monkeypatch.setattr(homology, "ColumnSpan", Recorded)
+    cycle = x_plus(G)
+    verdict = class_vanishes(G, [cycle])
+    [span] = spans
+    assert span.rounds >= 2
+    bg = bigrading(G, cycle)
+    fiber = generators_with_alexander(G, bg.A)
+    M, _ = grade_array(G, fiber)
+    lo, hi = _encode(fiber[M == bg.M]), _encode(fiber[M == bg.M + 1])
+    block = boundary_blocks(G, [(hi, lo)])[0]
+    rows = lo == _encode(np.array([cycle]))
+    cols = np.zeros(len(hi), dtype=bool)
+    frontier = rows.copy()
+
+    def new_cols():
+        hit = np.zeros_like(cols)
+        hit[block[frontier[block[:, 0]], 1]] = True
+        return hit & ~cols
+
+    for _ in range(span.rounds):
+        added = new_cols()
+        frontier = np.zeros_like(rows)
+        frontier[block[added[block[:, 1]], 0]] = True
+        frontier &= ~rows
+        rows |= frontier
+        cols |= added
+    assert (span.rows, span.cols) == (rows.sum(), cols.sum())
+    if verdict == "Survives":  # it stopped on a round with no new column
+        assert not new_cols().any()
 
 
 def test_verdicts_where_the_fiber_exceeds_the_budget():

@@ -290,18 +290,26 @@ def _per_step_report(GA, GB, reps):
 
 
 def _assert_pipeline_matches_per_step_fold(monkeypatch, GA, GB, reps):
-    verdict_grids = []
+    verdict_grids, sl_grids = [], []
 
     def recorded(G):
         verdict_grids.append(G)
         return theta_status(G)
 
+    def recorded_sl(G):
+        sl_grids.append(G)
+        return classical_invariants(G)
+
     monkeypatch.setattr(gridhfk.invariants, "theta_status", recorded)
+    monkeypatch.setattr(gridhfk.invariants, "classical_invariants", recorded_sl)
     report = nonsimplicity_pipeline(GA, GB, reps)
     monkeypatch.undo()
     expected, sides = _per_step_report(GA, GB, reps)
     assert report == expected
-    assert verdict_grids == sides
+    # one verdict per distinct side, and sl+ once per distinct grid: equal
+    # grids share them
+    assert verdict_grids == list(dict.fromkeys(sides))
+    assert sl_grids == list(dict.fromkeys([GA, GB, *sides]))
     return report
 
 

@@ -33,7 +33,7 @@ from .grid import (
 )
 from .front import ClassicalInvariants, FrontDiagram, classical_invariants, front_projection
 from .floer import Bigrading, bigrading, differential
-from .linalg import SparseF2Matrix, f2_rank, f2_solve
+from .linalg import SparseF2Matrix, f2_solve
 from .homology import (
     HomologyReport,
     alexander_polynomial,

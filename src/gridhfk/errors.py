@@ -45,11 +45,14 @@ class CornerConditionUnmet(GridError):
 
 
 class DimensionMismatch(GridError):
-    """Linear algebra operands have incompatible shapes."""
+    """Linear algebra operands have incompatible shapes, or boundary blocks
+    were asked for with a generator among the targets of two pairs."""
 
 
 class PreimageMismatch(GridError):
-    """f2_solve's preimage x fails matrix @ x = b; signals a reduction bug."""
+    """A solve's preimage z fails the product check A z = b; raised by every
+    "Vanishes" verdict's reduction (``ColumnSpan.preimage``) and by
+    ``f2_solve``, and signals a reduction bug."""
 
 
 class BudgetExceeded(GridError):

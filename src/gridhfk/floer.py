@@ -19,14 +19,38 @@ drop along rectangles) are enforced by the test suite.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import AsymmetricResult, NotPermutation, OutOfRange
+from .errors import AsymmetricResult, BudgetExceeded, ConfigError, NotPermutation, OutOfRange
 
 FLAVORS = ("tilde", "minus0")
+DEFAULT_MAX_SLICE = 5_000_000
+# Peak bytes per n^3 while GradingTables builds its point and gap tables: on
+# a 2-vCPU Xeon those of the 200x200 and 300x300 shift grids raised peak RSS
+# by 161 and 542 MiB.
+TABLE_BYTES = 21
+
+
+def max_slice_budget():
+    """Generator budget per slice, from ``GRIDHFK_MAX_SLICE`` if it is set."""
+    raw = os.environ.get("GRIDHFK_MAX_SLICE", str(DEFAULT_MAX_SLICE))
+    if not raw.isdecimal() or int(raw) == 0:
+        raise ConfigError(f"GRIDHFK_MAX_SLICE must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
+def check_table_bytes(name, size, n):
+    """Refuse a per-grid table of ``size`` bytes, before it is built, when
+    it exceeds max(budget, default budget) x n bytes."""
+    cap = max(max_slice_budget(), DEFAULT_MAX_SLICE)
+    if size > cap * n:
+        raise BudgetExceeded(
+            f"{name} of {size} bytes for n={n} exceeds {n} bytes per generator of budget {cap}"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,10 +98,13 @@ class GradingTables:
     """Per-grid lookup tables for vectorized gradings and rectangle tests.
 
     Point tables are doubled (J-contributions) to keep half-integers exact.
+    They and the gap tables take about ``TABLE_BYTES`` x n^3 bytes to
+    build, held to the table budget (``check_table_bytes``) first.
     """
 
     def __init__(self, G):
         n = self.n = G.n
+        check_table_bytes("grading tables", TABLE_BYTES * n**3, n)
         o_rows = np.array(G.sigma_O) - 1  # 0-based marker cells
         x_rows = np.array(G.sigma_X) - 1
         self.FO = _point_table(o_rows)

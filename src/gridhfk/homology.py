@@ -35,36 +35,27 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from math import factorial
 
 import numpy as np
 
-from .errors import AsymmetricResult, BudgetExceeded, ConfigError, DivisionInexact
+from .errors import AsymmetricResult, BudgetExceeded, DimensionMismatch, DivisionInexact
 from .errors import EulerMismatch, MultiComponent, NotACycle, OutOfRange
-from .floer import FLAVORS, bigrading, differential, grade_array, grading_tables, rectangles
+from .floer import FLAVORS, bigrading, check_table_bytes, differential, grade_array
+from .floer import grading_tables, max_slice_budget, rectangles
 from .grid import component_count
 from .linalg import ColumnSpan, SparseF2Matrix, f2_solve, rank_from_entries
 
-DEFAULT_MAX_SLICE = 5_000_000
 MINUS0_CAP = 2  # total U-degree searched by the bounded minus0 verdict
 SOLVE_BYTES = 200  # bitset bytes a verdict's reduction may hold per budgeted generator
 # Smallest grid whose fibers go to a process pool.  On a 2-vCPU Xeon, starting
-# and stopping a 2-worker pool costs 11.5 ms, and at n <= 7 the whole complex
-# is 20-35 ms of work: a 7x7 sum took 41-50 ms pooled against 23-36 ms
-# serial.  At n = 8 the pool first won (0.14-0.17 s against 0.16-0.26 s),
-# and at 9x9 it took 1.89 s against 3.42 s.  With clearing, which cuts the
-# work of each fiber, it still won or tied at n = 8 (0.10-0.14 s against
-# 0.10-0.16 s) and took the 9x9 from 1.15-1.39 s to 0.94-0.97 s.  With lazy
-# pivots and batched blocks, in seven alternating runs in one process, the
-# pool only ties at n = 8 (0.054-0.073 s pooled against 0.052-0.071 s
-# serial; in another such set it lost, 0.063-0.128 s against 0.055-0.078 s).
-# At 9x9 it wins by the median, not in every run: in twelve alternating runs
-# in one process, two seeded 9x9 knots took 0.45-0.71 s serial against
-# 0.29-0.45 s pooled, and the trefoil-corner-x#trefoil sum 0.38-0.59 s
-# against 0.26-0.72 s; in another set of three, the pool lost on the sum.
+# and stopping a 2-worker pool costs 11.5 ms, more than a 7x7 complex gains
+# from it (20-35 ms of work).  At n = 8 the pool ties with serial (0.054-0.073
+# s against 0.052-0.071 s), and at 9x9 it wins by the median: two seeded 9x9
+# knots took 0.29-0.45 s pooled against 0.45-0.71 s serial (alternating runs
+# in one process).
 POOL_MIN_N = 8
 # Most kept sources whose boundary blocks are built in one call, across the
 # fibers of a round; a larger block is built alone.  Half of the blocks of a
@@ -75,14 +66,6 @@ POOL_MIN_N = 8
 # at 4,096 and 0.172 s at 16,384; the 9x9 sum, whose large blocks run alone,
 # took 0.43-0.48 s at every cap.
 BATCH_SOURCES = 4096
-
-
-def max_slice_budget():
-    """Generator budget per slice, from ``GRIDHFK_MAX_SLICE`` if it is set."""
-    raw = os.environ.get("GRIDHFK_MAX_SLICE", str(DEFAULT_MAX_SLICE))
-    if not raw.isdecimal() or int(raw) == 0:
-        raise ConfigError(f"GRIDHFK_MAX_SLICE must be a positive integer, got {raw!r}")
-    return int(raw)
 
 
 # -- generators ----------------------------------------------------------------
@@ -130,28 +113,19 @@ def enumerate_fibers(G):
 
     The size of every fiber is read off the grid's counting table first
     (``_fiber_sizes``), so a grid is refused before any generator is listed:
-    when its n! generators cannot fit in its Alexander range under the slice
-    budget, when the integer fibers miss generators (a link grid), or when a
-    fiber exceeds the budget.  Then one frontier sweep lists every
+    when the integer fibers miss generators (a link grid), or when a fiber
+    exceeds the slice budget, the one gate it shares with
+    ``generators_with_alexander``.  Then one frontier sweep lists every
     generator with its weight sum and Maslov grading (``_sweep``), and one
     stable sort by (A, M) splits them into fibers.  Returns {A: (codes, M)}
     in increasing A, with codes the generators' codes (``_encode``: one
     uint64 each for n <= 8) and M the matching Maslov gradings; entries
     sorted by (M, code) for determinism.
     """
-    n = G.n
-    t = grading_tables(G)
-    fibers = len(range(t.shift % 2, t.weight_span, 2))  # as many as _fiber_sizes gives
-    cap = max_slice_budget()
-    if fibers and factorial(n) > cap * fibers:
-        raise BudgetExceeded(
-            f"{factorial(n)} generators over {fibers} Alexander fibers for n={n}:"
-            f" some fiber exceeds budget {cap}"
-        )
     sizes = _fiber_sizes(G)
-    if sum(sizes.values()) != factorial(n):
+    if sum(sizes.values()) != factorial(G.n):
         raise AsymmetricResult("integer Alexander fibers miss generators: a link grid?")
-    _hold_to_budget(sizes, cap)
+    _hold_to_budget(sizes, max_slice_budget())
     states, weight, M = _sweep(G)
     # the sweep lists in code order, so a stable sort by weight, then M,
     # leaves each fiber in (M, code) order
@@ -186,15 +160,8 @@ def _fiber_sizes(G):
     included, read off its counting table (``GradingTables.fiber_counts``).
     The table is refused before it is built if its bytes exceed max(budget,
     default budget) x n, which no table for n <= 14 comes near."""
-    n = G.n
     t = grading_tables(G)
-    cap = max(max_slice_budget(), DEFAULT_MAX_SLICE)
-    table = 8 * (1 << n) * t.weight_span
-    if table > cap * n:
-        raise BudgetExceeded(
-            f"fiber search table of {table} bytes for n={n} exceeds {n} bytes per generator"
-            f" of budget {cap}"
-        )
+    check_table_bytes("fiber search table", 8 * (1 << G.n) * t.weight_span, G.n)
     counts = t.fiber_counts[-1].tolist()
     return {(w + t.shift) // 2: counts[w] for w in range(t.shift % 2, t.weight_span, 2)}
 
@@ -260,47 +227,40 @@ def _sweep(G, need=None):
 # -- tilde boundary blocks -------------------------------------------------------
 
 
-def _keyed(codes, pair, width, n):
-    """Codes prefixed by the big-endian ``width``-byte number of their pair,
-    so that they sort by pair, then by code: integer codes shifted down into
-    their zero padding when n + width <= 8, byte codes otherwise."""
-    if n + width <= 8:
-        shift = np.uint64(8 * width)
-        return (pair.astype(np.uint64) << np.uint64(64) - shift) | (codes >> shift)
-    out = np.empty((len(codes), width + n), dtype=np.uint8)
-    out[:, :width] = pair[:, None] >> 8 * np.arange(width - 1, -1, -1)
-    out[:, width:] = _decode(codes, n)
-    return out.view(f"V{width + n}").ravel()
-
-
 def boundary_blocks(G, pairs):
     """Boundary blocks of the fully blocked differential between slices,
     one per (sources, targets) pair, from one ``rectangles`` call, one
     target lookup and one parity pass over all their sources.
 
-    Each pair holds the codes of the sources (columns) and the sorted codes
-    of the target slice (rows).  Each block is the (nnz x 2) int64
-    array of (row, col) positions hit by an odd number of empty rectangles
-    that miss every marker, each once and sorted by (col, row), as the
-    rank's column reduction reads them.  A rectangle's target is looked up
-    among its own pair's targets, in one table keyed by (pair, code), and
-    the positions of every pair are numbered together, then split back per
-    pair.
+    Each pair holds the codes of the sources (columns) and the codes of the
+    targets (rows), in the order that numbers them.  No generator may be a
+    target of two pairs, or twice of one (``DimensionMismatch``): the
+    homology rounds pair blocks of different Alexander fibers.  Each block
+    is the (nnz x 2) int64 array of (row, col) positions hit by an odd
+    number of empty rectangles that miss every marker, each once and sorted
+    by (col, row), as the rank's column reduction reads them.  The target
+    tables are concatenated and sorted once, every rectangle's target is
+    looked up in that one table, and a target found in another pair's
+    table counts in no block; the positions of every pair are numbered
+    together, then split back per pair.
     """
     n = G.n
     srcs, tgts = [p[0] for p in pairs], [p[1] for p in pairs]
+    src_len, tgt_len = [len(s) for s in srcs], [len(t) for t in tgts]
     x, _, _, _, T = rectangles(G, _decode(np.concatenate(srcs), n), grading_tables(G).gap)
-    table, targets = np.concatenate(tgts), _encode(T)
-    if len(pairs) > 1:
-        width, number = ((len(pairs) - 1).bit_length() + 7) // 8, np.arange(len(pairs))
-        table = _keyed(table, np.repeat(number, [len(t) for t in tgts]), width, n)
-        targets = _keyed(targets, np.repeat(number, [len(s) for s in srcs])[x], width, n)
-    rows, hit = _find(table, targets)
-    keys, counts = np.unique(x[hit] * len(table) + rows[hit], return_counts=True)
+    table = np.concatenate(tgts)
+    order = np.argsort(table, kind="stable")
+    ordered = table[order]
+    if (ordered[1:] == ordered[:-1]).any():
+        raise DimensionMismatch("a generator is listed twice among the targets of the pairs")
+    at, hit = _find(ordered, _encode(T))
+    col, row = x[hit], order[at[hit]]
+    number = np.arange(len(pairs))
+    own = np.repeat(number, tgt_len)[row] == np.repeat(number, src_len)[col]
+    keys, counts = np.unique(col[own] * len(table) + row[own], return_counts=True)
     keys = keys[counts % 2 == 1]
     col, row = keys // len(table), keys % len(table)
-    src_at = np.cumsum([0] + [len(s) for s in srcs])
-    tgt_at = np.cumsum([0] + [len(t) for t in tgts])
+    src_at, tgt_at = np.cumsum([0] + src_len), np.cumsum([0] + tgt_len)
     cuts = np.searchsorted(col, src_at).tolist()
     return [
         np.stack([row[lo:hi] - tgt_at[k], col[lo:hi] - src_at[k]], axis=1)

@@ -42,9 +42,6 @@ class SparseF2Matrix:
             r, c = e[bad.argmax()].tolist()
             raise DimensionMismatch(f"entry {(r, c)} outside {self.rows}x{self.cols}")
 
-    def transpose(self):
-        return SparseF2Matrix(self.cols, self.rows, _as_array(self.entries)[:, ::-1])
-
 
 def _distinct(entries):
     """The positions sorted by (col, row), each once, as an (nnz x 2) array.
@@ -146,13 +143,12 @@ def _check_preimage(rows, cols, x, b):
         raise PreimageMismatch("column reduction returned x with matrix @ x != b")
 
 
-def f2_rank(matrix):
-    """Rank over F2 by column reduction."""
-    return rank_from_entries(matrix.rows, matrix.cols, matrix.entries)
-
-
 def rank_from_entries(rows, cols, entries, pivot_rows=None):
-    """f2_rank without building the dataclass; entries are pairs or an array.
+    """Rank over F2, by column reduction, of the rows x cols matrix with a 1
+    at each of ``entries``, (row, col) pairs or an (nnz x 2) array; a
+    position listed twice counts once.  The rank reads only the positions,
+    so the shape is not checked; the rank of the transpose is that of the
+    entries with their two columns swapped.
 
     If ``pivot_rows`` is a list, the top row of each reduced pivot column is
     appended to it, in no particular order: each is the highest row of a

@@ -19,6 +19,7 @@ from gridhfk import (
     BudgetExceeded,
     DivisionInexact,
     EulerMismatch,
+    GridDiagram,
     GridError,
     MultiComponent,
     NotPermutation,
@@ -27,14 +28,17 @@ from gridhfk import (
     bigrading,
     class_vanishes,
     differential,
+    format_grid,
     generators_with_alexander,
+    theta_status,
     tilde_homology,
     x_plus,
 )
 from gridhfk import homology
 from gridhfk.cli import main
 from gridhfk.errors import ConfigError
-from gridhfk.homology import enumerate_fibers, max_slice_budget
+from gridhfk.floer import max_slice_budget
+from gridhfk.homology import enumerate_fibers
 from gridhfk.invariants import iterated_connect_sum
 
 from conftest import random_knot
@@ -211,6 +215,25 @@ def test_fiber_table_over_budget_is_refused(monkeypatch, trefoil):
     G = iterated_connect_sum([trefoil] * 3)
     with pytest.raises(BudgetExceeded, match="table of 205520896 bytes for n=19 .* budget 5000000$"):
         generators_with_alexander(G, 0)
+
+
+def test_grading_tables_over_budget_are_refused(monkeypatch, tmp_path, capsys):
+    # the point and gap tables of a 600x600 grid would take about 21 x 600^3
+    # bytes, over 600 bytes per generator of the default budget: refused
+    # before they are built, by the verdict and by the CLI
+    monkeypatch.delenv("GRIDHFK_MAX_SLICE", raising=False)
+    n = 600
+    G = GridDiagram(n, tuple(range(1, n + 1)), tuple(i % n + 1 for i in range(1, n + 1)))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="^grading tables of 4536000000 bytes for n=600"):
+        theta_status(G)
+    assert time.perf_counter() - start < 1.0
+    grid = tmp_path / "shift600.grid"
+    grid.write_text(format_grid(G))
+    start = time.perf_counter()
+    assert main(["invariant", str(grid)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("budget exceeded: grading tables of")
 
 
 def test_unknown_flavor_is_typed_error(trefoil):

@@ -25,7 +25,7 @@ from gridhfk import (
 )
 from gridhfk import homology, linalg
 from gridhfk.corpus import builtin_entries, get
-from gridhfk.errors import OutOfRange, PreimageMismatch
+from gridhfk.errors import DimensionMismatch, OutOfRange, PreimageMismatch
 from gridhfk.floer import grade_array, grading_tables, rectangles
 from gridhfk.homology import (
     _decode,
@@ -193,18 +193,55 @@ def test_every_block_of_every_round_matches_slice_boundary(monkeypatch, name, G,
 
 
 def test_boundary_blocks_look_up_each_pair_in_its_own_targets(rng):
-    # pairs whose target tables overlap, and more than 256 pairs, so that
-    # the pair numbers take two bytes: each block is its own pair's
+    # disjoint target tables, more than 256 of them: each pair's sources
+    # reach states in their own table and in other pairs' tables, and a
+    # rectangle that lands in another pair's table counts in no block; a
+    # table may come in any order, which numbers its rows
     G = random_knot(rng, 6)
+    n = G.n
+    o_rows = tuple(r - 1 for r in G.sigma_O)
+    x_rows = tuple(r - 1 for r in G.sigma_X)
     every = np.sort(np.concatenate([codes for codes, _ in enumerate_fibers(G).values()]))
-    pairs = [(every[k : k + 1], every) for k in range(0, 600, 2)]
-    pairs += [(every[:50], every[::2].copy()), (every[:0], every), (every[50:90], every[:0])]
+    taken, pairs = set(), []
+    for k in range(300):
+        src = every[(7 * k + np.arange(k % 3)) % len(every)]
+        reached = sorted(
+            {t for s in _states(src, n) for t in oracles.tilde_targets(n, o_rows, x_rows, s)}
+        )
+        tgt = [t for t in reached[k % 2 :: 2] if t not in taken]
+        taken.update(tgt)
+        pairs.append((src, _encode(np.array(tgt, dtype=np.int8).reshape(-1, n))))
+    big = max(range(len(pairs)), key=lambda k: len(pairs[k][1]))
+    pairs[big] = (pairs[big][0], pairs[big][1][::-1].copy())
+    pairs += [(every[:0], every[:0]), (every[50:90], every[:0])]
     blocks = homology.boundary_blocks(G, pairs)
     assert len(blocks) == len(pairs) > 256
+    own = elsewhere = 0
     for (src, tgt), block in zip(pairs, blocks):
         assert np.array_equal(block, boundary_blocks(G, [(src, tgt)])[0])
-        oracle = oracles.boundary_entries(G, _states(src, G.n), _index(tgt, G.n))
+        table = _index(tgt, n)
+        oracle = oracles.boundary_entries(G, _states(src, n), table)
         assert set(map(tuple, block.tolist())) == oracle
+        for s in _states(src, n):
+            for t in oracles.tilde_targets(n, o_rows, x_rows, s):
+                own += t in table
+                elsewhere += t in taken and t not in table
+    assert own > 100 and elsewhere > 100
+    assert len(pairs[big][1]) > 1 and len(blocks[big])
+
+
+def test_boundary_blocks_refuse_a_target_of_two_pairs(rng):
+    # the homology rounds pair blocks of different fibers, so no generator
+    # is a row of two blocks; a request that has one is refused
+    G = random_knot(rng, 6)
+    every = np.sort(np.concatenate([codes for codes, _ in enumerate_fibers(G).values()]))
+    for pairs in (
+        [(every[:3], every[:10]), (every[3:6], every[9:20])],
+        [(every[:0], every[5:6]), (every[:3], every[:4]), (every[:0], every[5:6])],
+        [(every[:3], every[[0, 1, 1]])],
+    ):
+        with pytest.raises(DimensionMismatch, match="listed twice among the targets"):
+            boundary_blocks(G, pairs)
 
 
 def test_nine_by_nine_sum_is_pinned():
@@ -348,43 +385,39 @@ def test_codes_round_trip_in_lexicographic_order(n):
 def _random_pairs(rng, G, count):
     """``count`` (sources, targets) pairs of a few random states each,
     against a sorted random share of the states their rectangles reach
-    plus states they do not; some pairs have no sources or no targets."""
+    plus states they do not, no state a target of two pairs; some pairs
+    have no sources or no targets."""
     n = G.n
     o_rows = tuple(r - 1 for r in G.sigma_O)
     x_rows = tuple(r - 1 for r in G.sigma_X)
-    pairs = []
+    pairs, taken = [], set()
     for k in range(count):
         sources = [tuple(rng.sample(range(n), n)) for _ in range((k + 2) % 5)]
         reached = {t for s in sources for t in oracles.tilde_targets(n, o_rows, x_rows, s)}
         targets = {t for t in reached if rng.random() < 0.7} if k % 7 != 6 else set()
         targets |= {tuple(rng.sample(range(n), n)) for _ in range(k % 3)}
+        targets -= taken
+        taken |= targets
         pairs.append((sources, sorted(targets)))
     return pairs
 
 
 @pytest.mark.parametrize(
-    "n,count,key", [(6, 300, "u"), (7, 300, "V"), (8, 2, "V")],
-    ids=["integer-key-n6", "byte-key-n7", "byte-key-n8"],
+    "n,dtype", [(6, np.uint64), (7, np.uint64), (9, np.dtype("V9"))],
+    ids=["uint64-n6", "uint64-n7", "bytes-n9"],
 )
-def test_boundary_blocks_of_many_pairs(monkeypatch, n, count, key):
-    # more than 256 pairs need a 2-byte pair number: it fits beside an
-    # integer code at n = 6, not at n = 7; at n = 8 even 1 byte does not
+def test_boundary_blocks_of_many_pairs(n, dtype):
+    # more than 256 pairs with disjoint target tables, on integer codes and
+    # on byte codes: one lookup serves them all, and each block is the one
+    # its pair gets alone
+    count = 300
     rng = random.Random(100 * n + count)
     G = random_knot(rng, n)
     pairs = _random_pairs(rng, G, count)
     encoded = [(_encode(np.array(s, dtype=np.int8).reshape(-1, n)),
                 _encode(np.array(t, dtype=np.int8).reshape(-1, n))) for s, t in pairs]
-    keyed, kinds = homology._keyed, []
-
-    def recorded(*args):
-        keys = keyed(*args)
-        kinds.append(keys.dtype.kind)
-        return keys
-
-    monkeypatch.setattr(homology, "_keyed", recorded)
+    assert all(codes.dtype == dtype for pair in encoded for codes in pair)
     blocks = boundary_blocks(G, encoded)
-    monkeypatch.undo()
-    assert kinds == [key, key]
     assert len(blocks) == count
     entries = 0
     for (sources, targets), pair, block in zip(pairs, encoded, blocks):
@@ -536,9 +569,11 @@ def test_format_helpers():
 
 
 def test_budget_guard(monkeypatch):
-    # 12! = 479,001,600 generators over 12 Alexander fibers: under a budget
-    # below 12!/12 some fiber must exceed it, so the grid is refused before
-    # any fiber is listed
+    # 12! = 479,001,600 generators over 12 Alexander fibers.  The exact size
+    # of every fiber comes from the counting table, so the grid is refused
+    # at its first fiber over the budget before any state is listed: at the
+    # default budget, below 12!/12, where some fiber must exceed it, and at
+    # 12!/12, where the fibers are not all equal
     G = GridDiagram(12, tuple(range(1, 13)), tuple(i % 12 + 1 for i in range(1, 13)))
 
     class Listed(Exception):
@@ -548,21 +583,19 @@ def test_budget_guard(monkeypatch):
         raise Listed(need)
 
     monkeypatch.setattr(homology, "_sweep", lister)
-    start = time.perf_counter()
-    with pytest.raises(BudgetExceeded, match="12 Alexander fibers"):
-        tilde_homology(G)
-    assert time.perf_counter() - start < 1.0
-    monkeypatch.setenv("GRIDHFK_MAX_SLICE", str(39_916_800 - 1))
-    with pytest.raises(BudgetExceeded, match="12 Alexander fibers"):
-        tilde_homology(G)
-    # at 12!/12 the fibers are not all equal, so the largest exceeds the
-    # budget: its exact size comes from the counting table, before any
-    # state is listed
-    monkeypatch.setenv("GRIDHFK_MAX_SLICE", str(39_916_800))
-    start = time.perf_counter()
-    with pytest.raises(BudgetExceeded, match=r"fiber A=-?\d+: \d+ generators exceed budget 39916800$"):
-        tilde_homology(G)
-    assert time.perf_counter() - start < 1.0
+    monkeypatch.delenv("GRIDHFK_MAX_SLICE", raising=False)
+    refusals = [
+        (None, "fiber A=-8: 10187685 generators exceed budget 5000000"),
+        (39_916_800 - 1, "fiber A=-7: 66318474 generators exceed budget 39916799"),
+        (39_916_800, "fiber A=-7: 66318474 generators exceed budget 39916800"),
+    ]
+    for budget, message in refusals:
+        if budget is not None:
+            monkeypatch.setenv("GRIDHFK_MAX_SLICE", str(budget))
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match=f"^{message}$"):
+            tilde_homology(G)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_homology_lists_no_fiber_one_at_a_time(monkeypatch):

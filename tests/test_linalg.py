@@ -8,7 +8,7 @@ from gridhfk import linalg
 from gridhfk.corpus import builtin_entries
 from gridhfk.errors import DimensionMismatch, PreimageMismatch
 from gridhfk.homology import boundary_blocks, enumerate_fibers
-from gridhfk.linalg import ColumnSpan, SparseF2Matrix, f2_rank, f2_solve, rank_from_entries
+from gridhfk.linalg import ColumnSpan, SparseF2Matrix, f2_solve, rank_from_entries
 
 from conftest import random_knot
 from oracles import dense_rank, eager_pivots
@@ -24,12 +24,11 @@ def random_entries(rng, rows, cols, density):
 
 
 def test_rank_empty_matrix():
-    assert f2_rank(SparseF2Matrix(3, 4, set())) == 0
+    assert rank_from_entries(3, 4, set()) == 0
 
 
 def test_rank_identity():
-    m = SparseF2Matrix(5, 5, {(i, i) for i in range(5)})
-    assert f2_rank(m) == 5
+    assert rank_from_entries(5, 5, {(i, i) for i in range(5)}) == 5
 
 
 def test_rank_against_dense_oracle_small():
@@ -37,16 +36,16 @@ def test_rank_against_dense_oracle_small():
     for _ in range(300):
         rows, cols = rng.randint(1, 20), rng.randint(1, 20)
         entries = random_entries(rng, rows, cols, rng.choice([0.1, 0.3, 0.6]))
-        m = SparseF2Matrix(rows, cols, entries)
-        assert f2_rank(m) == dense_rank(rows, cols, entries)
+        assert rank_from_entries(rows, cols, entries) == dense_rank(rows, cols, entries)
 
 
 def test_rank_equals_transpose_rank():
     rng = random.Random(6)
     for _ in range(100):
         rows, cols = rng.randint(1, 30), rng.randint(1, 30)
-        m = SparseF2Matrix(rows, cols, random_entries(rng, rows, cols, 0.25))
-        assert f2_rank(m) == f2_rank(m.transpose())
+        entries = random_entries(rng, rows, cols, 0.25)
+        swapped = {(c, r) for r, c in entries}
+        assert rank_from_entries(rows, cols, entries) == rank_from_entries(cols, rows, swapped)
 
 
 def test_rank_from_entries_agrees():
@@ -54,9 +53,9 @@ def test_rank_from_entries_agrees():
     for _ in range(50):
         rows, cols = rng.randint(1, 25), rng.randint(1, 25)
         entries = random_entries(rng, rows, cols, 0.3)
-        assert rank_from_entries(rows, cols, entries) == f2_rank(
-            SparseF2Matrix(rows, cols, entries)
-        )
+        # pairs, or an (nnz x 2) array in any order
+        array = np.array(sorted(entries), dtype=np.int64).reshape(-1, 2)[::-1]
+        assert rank_from_entries(rows, cols, entries) == rank_from_entries(rows, cols, array)
 
 
 def _apply(m, x):
@@ -77,7 +76,8 @@ def test_solve_returns_verified_preimage():
         if x is None:
             # no solution: the augmented matrix must have higher rank
             aug = set(m.entries) | {(r, cols) for r in range(rows) if b[r]}
-            assert rank_from_entries(rows, cols + 1, aug) == f2_rank(m) + 1
+            rank = rank_from_entries(rows, cols, m.entries)
+            assert rank_from_entries(rows, cols + 1, aug) == rank + 1
             failed += 1
         else:
             assert _apply(m, x) == b
@@ -102,7 +102,7 @@ def test_solve_in_image():
 def test_rank_bounds_property(rows, cols, seed):
     rng = random.Random(seed)
     entries = random_entries(rng, rows, cols, 0.4)
-    r = f2_rank(SparseF2Matrix(rows, cols, entries))
+    r = rank_from_entries(rows, cols, entries)
     assert 0 <= r <= min(rows, cols)
     if entries:
         assert r >= 1
@@ -120,9 +120,9 @@ def test_row_duplication_does_not_change_rank(n, seed):
 def test_rank_wide_matrix_beyond_word_size():
     # 130 rows and columns: bitsets and tags wider than one machine word
     n = 130
-    m = SparseF2Matrix(n, n, {(i, i) for i in range(n)} | {(i, (i + 1) % n) for i in range(n)})
+    entries = {(i, i) for i in range(n)} | {(i, (i + 1) % n) for i in range(n)}
     # circulant with two ones per row: rank n-1 for even n
-    assert f2_rank(m) == n - 1
+    assert rank_from_entries(n, n, entries) == n - 1
 
 
 def _block_grids():
@@ -212,7 +212,7 @@ def test_tall_matrix_with_few_columns():
             rows = rng.randint(65, 200)
             entries = random_entries(rng, rows, cols, 0.05)
             m = SparseF2Matrix(rows, cols, entries)
-            assert f2_rank(m) == dense_rank(rows, cols, entries)
+            assert rank_from_entries(rows, cols, entries) == dense_rank(rows, cols, entries)
             x0 = [rng.randint(0, 1) for _ in range(cols)]
             x = f2_solve(m, _apply(m, x0))
             assert len(x) == cols and _apply(m, x) == _apply(m, x0)
@@ -222,7 +222,7 @@ def test_empty_columns():
     # columns 0, 2 and 5 hold no entry: rank 2, and they never enter a preimage
     entries = {(0, 1), (1, 1), (1, 3), (2, 4), (3, 4)}
     m = SparseF2Matrix(4, 6, entries)
-    assert f2_rank(m) == dense_rank(4, 6, entries) == 3
+    assert rank_from_entries(4, 6, entries) == dense_rank(4, 6, entries) == 3
     x = f2_solve(m, [1, 0, 1, 1])
     assert len(x) == 6 and x[0] == x[2] == x[5] == 0 and _apply(m, x) == [1, 0, 1, 1]
     assert f2_solve(m, [0, 0, 1, 0]) is None

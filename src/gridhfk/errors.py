@@ -35,8 +35,9 @@ class NoSuchPattern(GridError):
 
 
 class OutOfRange(GridError):
-    """A row/column index falls outside 1..n, or a differential flavor is
-    not one of "tilde" and "minus0"."""
+    """A row/column index falls outside 1..n, a differential flavor is not
+    one of "tilde" and "minus0", or a grid is too large for the int8 state
+    arrays (n > 127)."""
 
 
 class CornerConditionUnmet(GridError):

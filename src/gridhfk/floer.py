@@ -33,6 +33,7 @@ DEFAULT_MAX_SLICE = 5_000_000
 # a 2-vCPU Xeon those of the 200x200 and 300x300 shift grids raised peak RSS
 # by 161 and 542 MiB.
 TABLE_BYTES = 21
+MAX_STATE_N = 127  # the largest n whose rows 0..n-1 fit the int8 state arrays
 
 
 def max_slice_budget():
@@ -51,6 +52,13 @@ def check_table_bytes(name, size, n):
         raise BudgetExceeded(
             f"{name} of {size} bytes for n={n} exceeds {n} bytes per generator of budget {cap}"
         )
+
+
+def check_state_size(n):
+    """Refuse, with ``OutOfRange``, a grid whose states would not fit the
+    int8 state arrays (n > ``MAX_STATE_N``), before one is built."""
+    if n > MAX_STATE_N:
+        raise OutOfRange(f"grid size {n} exceeds {MAX_STATE_N}, the largest with int8 states")
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,7 +212,8 @@ def rectangles(G, S, gap):
     """Every rectangle leaving the states in the rows of ``S`` whose interior
     misses the points of its source and every marker ``gap`` counts.
 
-    ``S`` is an (N x n) int8 state array and ``gap`` a marker table of
+    ``S`` is an (N x n) int8 state array, refused for n > ``MAX_STATE_N``
+    (``check_state_size``), and ``gap`` a marker table of
     ``GradingTables``.  For each ordered column pair (i, j) there is one torus
     rectangle with its lower-left corner on column i and its upper-right on
     column j; the pair (j, i) gives the complementary one.  It is empty iff
@@ -215,6 +224,7 @@ def rectangles(G, S, gap):
     left column, width and height, and the (N' x n) array of its targets.
     """
     n = G.n
+    check_state_size(n)
     right, where, pair_i, pair_w, pair_j = _rectangle_layout(n)
     S = np.asarray(S, dtype=np.int8).reshape(-1, n)
     P = np.ascontiguousarray(S.T)
@@ -248,11 +258,13 @@ def differential(G, state, flavor="tilde"):
     minus0 -> dict {(o_columns, target_state): 1} over rectangles with no X;
               ``o_columns`` is the sorted tuple of 1-based columns whose O
               marker (U-variable) the rectangle picks up.
-    A state that is not a generator is refused with ``NotPermutation``.
+    A state that is not a generator is refused with ``NotPermutation``, and
+    a grid with n > ``MAX_STATE_N`` with ``OutOfRange``.
     """
     if flavor not in FLAVORS:
         raise OutOfRange(f"unknown flavor {flavor!r}")
     n = G.n
+    check_state_size(n)
     t = grading_tables(G)
     state = np.array(_generator(G, state), dtype=np.int8)
     _, i, w, h, T = rectangles(G, state, t.gap if flavor == "tilde" else t.gap_x)

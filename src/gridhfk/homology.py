@@ -12,7 +12,7 @@ reduces to zero, so it is dropped before the block is built, and about half
 the columns never get rectangles (``_fiber_ranks``).  The fibers go in
 rounds, the r-th block of each fiber in round r, and the small blocks of a
 round are built together, in one vectorized pass (``boundary_blocks``),
-but each is ranked on its own.
+and ranked together, as one block-diagonal matrix.
 Hat-flavor data is recovered by exact division of the tilde Poincare
 polynomial by (1 + q^-1 t^-1)^(n-1); inexact division is a hard failure,
 never papered over.
@@ -43,10 +43,10 @@ import numpy as np
 
 from .errors import AsymmetricResult, BudgetExceeded, DimensionMismatch, DivisionInexact
 from .errors import EulerMismatch, MultiComponent, NotACycle, OutOfRange
-from .floer import FLAVORS, bigrading, check_table_bytes, differential, grade_array
-from .floer import grading_tables, max_slice_budget, rectangles
+from .floer import FLAVORS, bigrading, check_state_size, check_table_bytes, differential
+from .floer import grade_array, grading_tables, max_slice_budget, rectangles
 from .grid import component_count
-from .linalg import ColumnSpan, SparseF2Matrix, f2_solve, rank_from_entries
+from .linalg import ColumnSpan, SparseF2Matrix, _runs, f2_solve, rank_from_entries
 
 MINUS0_CAP = 2  # total U-degree searched by the bounded minus0 verdict
 SOLVE_BYTES = 200  # bitset bytes a verdict's reduction may hold per budgeted generator
@@ -57,14 +57,14 @@ SOLVE_BYTES = 200  # bitset bytes a verdict's reduction may hold per budgeted ge
 # knots took 0.29-0.45 s pooled against 0.45-0.71 s serial (alternating runs
 # in one process).
 POOL_MIN_N = 8
-# Most kept sources whose boundary blocks are built in one call, across the
-# fibers of a round; a larger block is built alone.  Half of the blocks of a
-# 7x7 complex have at most 16 sources, so per-call numpy overhead dominates
-# them.  On a 2-vCPU Xeon, the median pass of the 7x7 homology benchmark
-# workload (seed 11, twelve alternating passes in one process) took 0.246 s
-# with one block per call, 0.198 s at 256 sources, 0.174 s at 1,024, 0.172 s
-# at 4,096 and 0.172 s at 16,384; the 9x9 sum, whose large blocks run alone,
-# took 0.43-0.48 s at every cap.
+# Most kept sources whose boundary blocks are built and ranked in one call,
+# across the fibers of a round; a larger block runs alone.  Half of the
+# blocks of a 7x7 complex have at most 16 sources, so per-call numpy overhead
+# dominates them.  On a 2-vCPU Xeon, the median pass of the 7x7 homology
+# benchmark workload (seed 11, twelve alternating passes in one process) took
+# 0.145 s with one block per call, 0.103 s at 256 sources, 0.090 s at 1,024,
+# 0.093 s at 4,096 and 0.089 s at 16,384; the 9x9 sum, whose large blocks run
+# alone, took 0.38-0.50 s at every cap.
 BATCH_SOURCES = 4096
 
 
@@ -76,7 +76,9 @@ def _encode(P):
     lexicographically.  For n <= 8 a row's n int8 entries, zero-padded to 8
     bytes, are read big-endian into one native uint64; for larger n they are
     one void scalar of n bytes, which numpy compares by a generic routine,
-    several times slower in a sort or a ``searchsorted``."""
+    several times slower in a sort or a ``searchsorted``.  A state wider
+    than ``MAX_STATE_N`` is refused with ``OutOfRange`` first."""
+    check_state_size(np.shape(P)[1])
     P = np.ascontiguousarray(P, dtype=np.int8)
     n = P.shape[1]
     if n > 8:
@@ -229,20 +231,22 @@ def _sweep(G, need=None):
 
 def boundary_blocks(G, pairs):
     """Boundary blocks of the fully blocked differential between slices,
-    one per (sources, targets) pair, from one ``rectangles`` call, one
-    target lookup and one parity pass over all their sources.
+    one per (sources, targets) pair, as one block-diagonal matrix, from one
+    ``rectangles`` call, one target lookup and one parity pass over all
+    their sources.
 
     Each pair holds the codes of the sources (columns) and the codes of the
-    targets (rows), in the order that numbers them.  No generator may be a
-    target of two pairs, or twice of one (``DimensionMismatch``): the
-    homology rounds pair blocks of different Alexander fibers.  Each block
-    is the (nnz x 2) int64 array of (row, col) positions hit by an odd
-    number of empty rectangles that miss every marker, each once and sorted
-    by (col, row), as the rank's column reduction reads them.  The target
-    tables are concatenated and sorted once, every rectangle's target is
-    looked up in that one table, and a target found in another pair's
-    table counts in no block; the positions of every pair are numbered
-    together, then split back per pair.
+    targets (rows), in the order that numbers them; the pairs' rows and
+    columns are numbered in turn.  No generator may be a target of two
+    pairs, or twice of one (``DimensionMismatch``): the homology rounds pair
+    blocks of different Alexander fibers.  The target tables are
+    concatenated and sorted once, every rectangle's target is looked up in
+    that one table, and a target found in another pair's table counts in no
+    block.  Returns the (nnz x 2) int64 array of (row, col) positions hit by
+    an odd number of empty rectangles that miss every marker, each once and
+    sorted by (col, row), as the rank's column reduction reads them, and
+    the offsets ``src_at`` and ``tgt_at``: pair k has the columns
+    src_at[k]:src_at[k + 1] and the rows tgt_at[k]:tgt_at[k + 1].
     """
     n = G.n
     srcs, tgts = [p[0] for p in pairs], [p[1] for p in pairs]
@@ -258,14 +262,8 @@ def boundary_blocks(G, pairs):
     number = np.arange(len(pairs))
     own = np.repeat(number, tgt_len)[row] == np.repeat(number, src_len)[col]
     keys, counts = np.unique(col[own] * len(table) + row[own], return_counts=True)
-    keys = keys[counts % 2 == 1]
-    col, row = keys // len(table), keys % len(table)
-    src_at, tgt_at = np.cumsum([0] + src_len), np.cumsum([0] + tgt_len)
-    cuts = np.searchsorted(col, src_at).tolist()
-    return [
-        np.stack([row[lo:hi] - tgt_at[k], col[lo:hi] - src_at[k]], axis=1)
-        for k, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
-    ]
+    col, row = np.divmod(keys[counts % 2 == 1], len(table))
+    return np.stack([row, col], axis=1), np.cumsum([0] + src_len), np.cumsum([0] + tgt_len)
 
 
 def _fiber_ranks(G, fibers):
@@ -280,12 +278,15 @@ def _fiber_ranks(G, fibers):
     rank d_m is the rank of the kept columns.  The fibers go in rounds:
     round r builds the r-th block from the top of every fiber, in batches
     of at most ``BATCH_SOURCES`` kept sources (``boundary_blocks``), and a
-    larger block alone; every block is ranked on its own.
+    larger block alone.  A batch is one reduction of its block-diagonal
+    matrix: no two blocks share a row, so each block gets the pivots it gets
+    alone, and its rank and its cleared columns are the pivots' top rows in
+    its row range.
     """
     slices, blocks = [], []
     for codes, M in fibers:
-        ms, starts = np.unique(M, return_index=True)
-        groups = dict(zip(ms.tolist(), np.split(codes, starts[1:])))
+        bounds = _runs(M).tolist()  # M is sorted: each Maslov slice is one run
+        groups = {int(M[lo]): codes[lo:hi] for lo, hi in zip(bounds, bounds[1:])}
         slices.append(groups)
         blocks.append([m for m in sorted(groups, reverse=True) if m - 1 in groups])
     brank = [{} for _ in fibers]  # m -> rank of boundary out of Maslov degree m
@@ -298,13 +299,23 @@ def _fiber_ranks(G, fibers):
                 # the fiber is sorted by (M, code), so C_m is in code order both
                 # as block m's columns and as block m+1's rows: a top row of
                 # block m+1 is a column number of block m
-                keep = np.ones(len(groups[m]), dtype=bool)
-                keep[np.asarray(cleared[f].pop(m, []), dtype=np.int64)] = False
-                work.append((f, m, groups[m][keep], groups[m - 1]))
+                src, drop = groups[m], cleared[f].pop(m, None)
+                if drop is not None:
+                    keep = np.ones(len(src), dtype=bool)
+                    keep[drop] = False
+                    src = src[keep]
+                work.append((f, m, src, groups[m - 1]))
         for batch in _batches(work):
-            for (f, m, src, tgt), entries in zip(batch, boundary_blocks(G, [w[2:] for w in batch])):
-                cleared[f][m - 1] = tops = []
-                brank[f][m] = rank_from_entries(len(tgt), len(src), entries, tops)
+            entries, src_at, tgt_at = boundary_blocks(G, [w[2:] for w in batch])
+            tops = []
+            rank_from_entries(int(tgt_at[-1]), int(src_at[-1]), entries, tops)
+            tops = np.sort(np.array(tops, dtype=np.int64))
+            cuts = np.searchsorted(tops, tgt_at).tolist()
+            for k, (f, m, _, _) in enumerate(batch):
+                lo, hi = cuts[k], cuts[k + 1]
+                brank[f][m] = hi - lo
+                if hi > lo:
+                    cleared[f][m - 1] = tops[lo:hi] - tgt_at[k]
     return [
         {m: h for m, cs in groups.items() if (h := len(cs) - b.get(m, 0) - b.get(m + 1, 0))}
         for groups, b in zip(slices, brank)

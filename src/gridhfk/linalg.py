@@ -6,10 +6,13 @@ speed), left to right against the pivots so far, keyed by their top row.
 The pivots are lazy (``_Reduction``): a column whose top row is no pivot's
 yet becomes one as it stands, and its bitset is built only when a later
 reduction reaches it, so most columns of a sparse block never get one.
-``rank_from_entries`` can also hand back the pivots' top rows, which the
-homology ranks clear from the next block down.  ``ColumnSpan`` keeps the
-pivots between batches of columns, so a solve can grow its matrix until
-the right-hand side lies in its span; ``f2_solve`` is its one-batch case.
+``rank_from_entries`` can also hand back the pivots' top rows.  The
+homology ranks reduce a whole batch of boundary blocks at once, as one
+block-diagonal matrix, and cut these rows at the blocks' row offsets into
+each block's rank and the columns it clears from the next block down.
+``ColumnSpan`` keeps the pivots between batches of columns, so a solve can
+grow its matrix until the right-hand side lies in its span; ``f2_solve``
+is its one-batch case.
 """
 
 from __future__ import annotations

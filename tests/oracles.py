@@ -9,12 +9,13 @@ Python, and serves the tests as an oracle for
 ``eager_pivots`` is the column reduction that builds every column's bitset,
 for the lazy pivots of ``linalg``, and ``full_block_ranks`` ranks every
 column of every boundary block, for the cleared reduction of
-``homology._fiber_ranks``; ``stabilize_markers`` places a stabilization's
-markers one at a time, and ``destabilizations_by_cells`` and
-``destabilize_by_cells`` find and undo a stabilization's 2x2 block cell by
-cell, for the marker-tuple moves of ``moves``, and ``normalize_corners``
-runs the corner search on validated grids built by ``apply_move``, for
-``moves.normalize_corners``.
+``homology._fiber_ranks``, and ``pair_blocks`` splits the block-diagonal
+matrix of a ``homology.boundary_blocks`` batch back into its pairs'
+blocks; ``stabilize_markers`` places a stabilization's markers one at a
+time, and ``destabilizations_by_cells`` and ``destabilize_by_cells`` find
+and undo a stabilization's 2x2 block cell by cell, for the marker-tuple
+moves of ``moves``, and ``normalize_corners`` runs the corner search on
+validated grids built by ``apply_move``, for ``moves.normalize_corners``.
 """
 
 import itertools
@@ -256,6 +257,17 @@ def dense_rank(rows, cols, entries):
         A[mask] ^= A[rank]
         rank += 1
     return rank
+
+
+def pair_blocks(G, pairs):
+    """One (nnz x 2) array of (row, col) positions per pair, numbered within
+    the pair: ``boundary_blocks`` of all the pairs, cut at its source
+    offsets."""
+    entries, src_at, tgt_at = boundary_blocks(G, pairs)
+    cuts = np.searchsorted(entries[:, 1], src_at).tolist()
+    return [
+        entries[lo:hi] - [tgt_at[k], src_at[k]] for k, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
+    ]
 
 
 def full_block_ranks(G, codes, M):

@@ -36,8 +36,9 @@ from gridhfk import (
 )
 from gridhfk import homology
 from gridhfk.cli import main
+from gridhfk.corpus import shift_grid
 from gridhfk.errors import ConfigError
-from gridhfk.floer import max_slice_budget
+from gridhfk.floer import max_slice_budget, rectangles
 from gridhfk.homology import enumerate_fibers
 from gridhfk.invariants import iterated_connect_sum
 
@@ -234,6 +235,31 @@ def test_grading_tables_over_budget_are_refused(monkeypatch, tmp_path, capsys):
     assert main(["invariant", str(grid)]) == 3
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err.startswith("budget exceeded: grading tables of")
+
+
+def test_grids_too_wide_for_int8_states_are_refused(tmp_path, capsys):
+    # generator states are int8 rows, so n = 127 is the widest grid with a
+    # differential: the 127x127 shift grid gets its verdict, and from 128
+    # on every builder of a state array refuses with OutOfRange, so the
+    # CLI exits 2 with one line and no traceback
+    assert theta_status(shift_grid(127, 1)).tilde_verdict == "Survives"
+    for n in (128, 255):
+        G = shift_grid(n, 1)
+        grid = tmp_path / f"shift{n}.grid"
+        grid.write_text(format_grid(G))
+        start = time.perf_counter()
+        assert main(["invariant", str(grid)]) == 2
+        assert time.perf_counter() - start < 2.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: grid size {n} exceeds 127") and "Traceback" not in err
+        # refused before the marker gap is read or a state array is built
+        match = f"^grid size {n} exceeds 127"
+        with pytest.raises(OutOfRange, match=match):
+            rectangles(G, [x_plus(G)], None)
+        with pytest.raises(OutOfRange, match=match):
+            differential(G, x_plus(G))
+        with pytest.raises(OutOfRange, match=match):
+            homology._encode([x_plus(G)])
 
 
 def test_unknown_flavor_is_typed_error(trefoil):

@@ -124,20 +124,39 @@ def test_clearing_matches_full_blocks(monkeypatch, name, G):
     # every fiber: the cleared reduction gives the full blocks' ranks, its
     # blocks run from the highest Maslov degree down, and block m ranks
     # all its columns but rank d_{m+1} of them, to the full block's rank.
-    # A fiber alone, as a pool job has it, makes exactly its own calls; all
-    # fibers together go in rounds, the r-th block of each fiber in turn
-    calls = []
+    # Each batch is one rank call on the batch's whole matrix, and a
+    # block's rank is the number of pivot rows in its row range.  A fiber
+    # alone, as a pool job has it, has exactly its own blocks; all fibers
+    # together go in rounds, the r-th block of each fiber in turn
+    real_blocks, calls = homology.boundary_blocks, []
 
-    def recording(rows, cols, entries, pivot_rows=None):
+    def recording_blocks(G, pairs):
+        entries, src_at, tgt_at = real_blocks(G, pairs)
+        calls.append([src_at, tgt_at, None])
+        return entries, src_at, tgt_at
+
+    def recording_rank(rows, cols, entries, pivot_rows=None):
         rank = linalg.rank_from_entries(rows, cols, entries, pivot_rows)
-        calls.append((rows, cols, rank))
+        src_at, tgt_at, done = calls[-1]
+        assert done is None and (rows, cols) == (tgt_at[-1], src_at[-1])
+        assert len(pivot_rows) == rank
+        ranges = zip(tgt_at.tolist(), tgt_at[1:].tolist())
+        calls[-1][2] = [sum(lo <= r < hi for r in pivot_rows) for lo, hi in ranges]
         return rank
 
-    monkeypatch.setattr(homology, "rank_from_entries", recording)
+    def blocks():
+        # (rows, columns, rank) of every block of every batch, in order
+        out = []
+        for src_at, tgt_at, ranks in calls:
+            out += zip(np.diff(tgt_at).tolist(), np.diff(src_at).tolist(), ranks)
+        calls.clear()
+        return out
+
+    monkeypatch.setattr(homology, "boundary_blocks", recording_blocks)
+    monkeypatch.setattr(homology, "rank_from_entries", recording_rank)
     fibers = list(enumerate_fibers(G).values())
     alone, per_fiber = [], []
     for codes, M in fibers:
-        calls.clear()
         alone += homology._fiber_ranks(G, [(codes, M)])
         full, counts, brank = oracles.full_block_ranks(G, codes, M)
         assert alone[-1] == full
@@ -147,11 +166,10 @@ def test_clearing_matches_full_blocks(monkeypatch, name, G):
                 for m in sorted(brank, reverse=True)
             ]
         )
-        assert calls == per_fiber[-1]
-    calls.clear()
+        assert blocks() == per_fiber[-1]
     assert homology._fiber_ranks(G, fibers) == alone
     rounds = itertools.zip_longest(*per_fiber)
-    assert calls == [c for r in rounds for c in r if c is not None]
+    assert blocks() == [c for r in rounds for c in r if c is not None]
 
 
 def _nine_by_nine():
@@ -168,23 +186,27 @@ _BATCH_GRIDS = [(e.name, e.grid, 16) for e in builtin_entries()] + [
 )
 def test_every_block_of_every_round_matches_slice_boundary(monkeypatch, name, G, cap):
     # with a small cap, a round's blocks split into several batches and a
-    # larger block runs alone; every block of every batch is the one pair
-    # case of boundary_blocks
+    # larger block runs alone; every block of every batch, cut out of the
+    # batch's matrix, is the one pair case of boundary_blocks, and the
+    # ranks are still those of the full blocks
     real = homology.boundary_blocks
     batches = []
 
     def checked(G, pairs):
-        blocks = real(G, pairs)
+        batch = real(G, pairs)
+        blocks = oracles.pair_blocks(G, pairs)
         assert len(blocks) == len(pairs)
         for (src, tgt), block in zip(pairs, blocks):
             assert np.array_equal(block, real(G, [(src, tgt)])[0])
         batches.append([len(src) for src, _ in pairs])
-        return blocks
+        return batch
 
     monkeypatch.setattr(homology, "BATCH_SOURCES", cap)
     monkeypatch.setattr(homology, "boundary_blocks", checked)
     fibers = list(enumerate_fibers(G).values())
-    homology._fiber_ranks(G, fibers)
+    ranks = homology._fiber_ranks(G, fibers)
+    if G.n <= 8:
+        assert ranks == [oracles.full_block_ranks(G, codes, M)[0] for codes, M in fibers]
     assert all(sum(sizes) <= cap or len(sizes) == 1 for sizes in batches)
     if G.n >= 5:
         assert any(len(sizes) > 1 for sizes in batches)
@@ -214,7 +236,7 @@ def test_boundary_blocks_look_up_each_pair_in_its_own_targets(rng):
     big = max(range(len(pairs)), key=lambda k: len(pairs[k][1]))
     pairs[big] = (pairs[big][0], pairs[big][1][::-1].copy())
     pairs += [(every[:0], every[:0]), (every[50:90], every[:0])]
-    blocks = homology.boundary_blocks(G, pairs)
+    blocks = oracles.pair_blocks(G, pairs)
     assert len(blocks) == len(pairs) > 256
     own = elsewhere = 0
     for (src, tgt), block in zip(pairs, blocks):
@@ -417,7 +439,7 @@ def test_boundary_blocks_of_many_pairs(n, dtype):
     encoded = [(_encode(np.array(s, dtype=np.int8).reshape(-1, n)),
                 _encode(np.array(t, dtype=np.int8).reshape(-1, n))) for s, t in pairs]
     assert all(codes.dtype == dtype for pair in encoded for codes in pair)
-    blocks = boundary_blocks(G, encoded)
+    blocks = oracles.pair_blocks(G, encoded)
     assert len(blocks) == count
     entries = 0
     for (sources, targets), pair, block in zip(pairs, encoded, blocks):

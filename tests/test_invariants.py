@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import random
 from functools import partial
 
 import pytest
@@ -14,12 +15,13 @@ from gridhfk import (
     nonsimplicity_pipeline,
     tensor_table,
     theta_status,
+    tilde_homology,
     x_minus,
     x_plus,
 )
 import gridhfk.homology
 import gridhfk.invariants
-from gridhfk.corpus import shift_grid
+from gridhfk.corpus import builtin_entries, shift_grid
 from gridhfk.errors import MultiComponent, OutOfRange
 from gridhfk.front import classical_invariants
 from gridhfk.grid import GridDiagram
@@ -83,6 +85,27 @@ def test_lambda_status_grades_its_cycle_once(monkeypatch, rng):
             lambda_status(G, sign)
             assert graded == [cycle]
             graded.clear()
+
+
+def test_zero_tilde_rank_forces_vanishes():
+    # a cycle whose slice has no homology is a boundary: where the tilde
+    # rank at the cycle's (M, A) is 0, its verdict is "Vanishes".  The
+    # verdict solves on the cycle's own component (incoming, rectangles)
+    # and the ranks come from the cleared block reductions (boundary_blocks),
+    # so the two engines check each other.  Both outcomes occur: some
+    # cycles sit at rank 0, and some survive at a positive rank
+    grids = [e.grid for e in builtin_entries()]
+    grids += [random_knot(random.Random(1000 * n + s), n) for n in range(3, 8) for s in range(4)]
+    seen = set()
+    for G in grids:
+        ranks = tilde_homology(G).ranks
+        for sign in "+-":
+            st = lambda_status(G, sign)
+            rank = ranks.get((st.bigrading.M, st.bigrading.A), 0)
+            if rank == 0:
+                assert st.tilde_verdict == "Vanishes"
+            seen.add((rank > 0, st.tilde_verdict))
+    assert (False, "Vanishes") in seen and (True, "Survives") in seen
 
 
 def test_status_json_shape(trefoil):

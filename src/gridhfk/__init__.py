@@ -29,7 +29,6 @@ from .grid import (
     format_grid,
     parse_grid,
     render_grid,
-    transpose_grid,
 )
 from .front import ClassicalInvariants, FrontDiagram, classical_invariants, front_projection
 from .floer import Bigrading, bigrading, differential

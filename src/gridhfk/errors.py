@@ -37,7 +37,7 @@ class NoSuchPattern(GridError):
 class OutOfRange(GridError):
     """A row/column index falls outside 1..n, a differential flavor is not
     one of "tilde" and "minus0", or a grid is too large for the int8 state
-    arrays (n > 127)."""
+    arrays (n > 127), refused before its grading tables are built."""
 
 
 class CornerConditionUnmet(GridError):

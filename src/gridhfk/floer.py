@@ -29,10 +29,6 @@ from .errors import AsymmetricResult, BudgetExceeded, ConfigError, NotPermutatio
 
 FLAVORS = ("tilde", "minus0")
 DEFAULT_MAX_SLICE = 5_000_000
-# Peak bytes per n^3 while GradingTables builds its point and gap tables: on
-# a 2-vCPU Xeon those of the 200x200 and 300x300 shift grids raised peak RSS
-# by 161 and 542 MiB.
-TABLE_BYTES = 21
 MAX_STATE_N = 127  # the largest n whose rows 0..n-1 fit the int8 state arrays
 
 
@@ -52,13 +48,6 @@ def check_table_bytes(name, size, n):
         raise BudgetExceeded(
             f"{name} of {size} bytes for n={n} exceeds {n} bytes per generator of budget {cap}"
         )
-
-
-def check_state_size(n):
-    """Refuse, with ``OutOfRange``, a grid whose states would not fit the
-    int8 state arrays (n > ``MAX_STATE_N``), before one is built."""
-    if n > MAX_STATE_N:
-        raise OutOfRange(f"grid size {n} exceeds {MAX_STATE_N}, the largest with int8 states")
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,13 +95,17 @@ class GradingTables:
     """Per-grid lookup tables for vectorized gradings and rectangle tests.
 
     Point tables are doubled (J-contributions) to keep half-integers exact.
-    They and the gap tables take about ``TABLE_BYTES`` x n^3 bytes to
-    build, held to the table budget (``check_table_bytes``) first.
+    Every grading, rectangle and state array of a grid reads these tables,
+    so a grid too wide for the int8 states and gaps (n > ``MAX_STATE_N``)
+    is refused here with ``OutOfRange``, before any table is built.  Below
+    that the tables, about 21 n^3 bytes, take under 340 kB per line of the
+    grid, far inside the least table allowance (``check_table_bytes``).
     """
 
     def __init__(self, G):
         n = self.n = G.n
-        check_table_bytes("grading tables", TABLE_BYTES * n**3, n)
+        if n > MAX_STATE_N:
+            raise OutOfRange(f"grid size {n} exceeds {MAX_STATE_N}, the largest with int8 states")
         o_rows = np.array(G.sigma_O) - 1  # 0-based marker cells
         x_rows = np.array(G.sigma_X) - 1
         self.FO = _point_table(o_rows)
@@ -212,19 +205,19 @@ def rectangles(G, S, gap):
     """Every rectangle leaving the states in the rows of ``S`` whose interior
     misses the points of its source and every marker ``gap`` counts.
 
-    ``S`` is an (N x n) int8 state array, refused for n > ``MAX_STATE_N``
-    (``check_state_size``), and ``gap`` a marker table of
-    ``GradingTables``.  For each ordered column pair (i, j) there is one torus
-    rectangle with its lower-left corner on column i and its upper-right on
-    column j; the pair (j, i) gives the complementary one.  It is empty iff
-    its height stays below the upward row distance of every interior point (a
-    running minimum over the width) and the marker gap.  The tables are laid
-    out [column, width, state], so every array operation runs along the
-    states.  Returns, per rectangle, the index of its source in ``S``, its
-    left column, width and height, and the (N' x n) array of its targets.
+    ``S`` is an (N x n) int8 state array and ``gap`` a marker table of
+    ``GradingTables``, which refuses every grid too wide for int8 states
+    (n > ``MAX_STATE_N``).  For each ordered column pair (i, j) there is one
+    torus rectangle with its lower-left corner on column i and its
+    upper-right on column j; the pair (j, i) gives the complementary one.
+    It is empty iff its height stays below the upward row distance of every
+    interior point (a running minimum over the width) and the marker gap.
+    The tables are laid out [column, width, state], so every array
+    operation runs along the states.  Returns, per rectangle, the index of
+    its source in ``S``, its left column, width and height, and the
+    (N' x n) array of its targets.
     """
     n = G.n
-    check_state_size(n)
     right, where, pair_i, pair_w, pair_j = _rectangle_layout(n)
     S = np.asarray(S, dtype=np.int8).reshape(-1, n)
     P = np.ascontiguousarray(S.T)
@@ -259,12 +252,11 @@ def differential(G, state, flavor="tilde"):
               ``o_columns`` is the sorted tuple of 1-based columns whose O
               marker (U-variable) the rectangle picks up.
     A state that is not a generator is refused with ``NotPermutation``, and
-    a grid with n > ``MAX_STATE_N`` with ``OutOfRange``.
+    a grid with n > ``MAX_STATE_N`` with ``OutOfRange`` (``GradingTables``).
     """
     if flavor not in FLAVORS:
         raise OutOfRange(f"unknown flavor {flavor!r}")
     n = G.n
-    check_state_size(n)
     t = grading_tables(G)
     state = np.array(_generator(G, state), dtype=np.int8)
     _, i, w, h, T = rectangles(G, state, t.gap if flavor == "tilde" else t.gap_x)

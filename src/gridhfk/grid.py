@@ -125,17 +125,3 @@ def component_count(G):
             seen[i] = True
             i = G.sigma_X.index(G.sigma_O[i])
     return cycles
-
-
-def transpose_grid(G):
-    """Reflect across the main diagonal, swapping the roles of rows/columns.
-
-    The grid encodes a Legendrian front of the mirror m(K); transposing gives
-    a grid whose front belongs to K itself.
-    """
-    o = [0] * G.n
-    x = [0] * G.n
-    for i in range(G.n):
-        o[G.sigma_O[i] - 1] = i + 1
-        x[G.sigma_X[i] - 1] = i + 1
-    return GridDiagram(G.n, tuple(o), tuple(x))

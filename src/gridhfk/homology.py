@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import AsymmetricResult, BudgetExceeded, DimensionMismatch, DivisionInexact
 from .errors import EulerMismatch, MultiComponent, NotACycle, OutOfRange
-from .floer import FLAVORS, bigrading, check_state_size, check_table_bytes, differential
+from .floer import FLAVORS, bigrading, check_table_bytes, differential
 from .floer import grade_array, grading_tables, max_slice_budget, rectangles
 from .grid import component_count
 from .linalg import ColumnSpan, SparseF2Matrix, _runs, f2_solve, rank_from_entries
@@ -76,9 +76,7 @@ def _encode(P):
     lexicographically.  For n <= 8 a row's n int8 entries, zero-padded to 8
     bytes, are read big-endian into one native uint64; for larger n they are
     one void scalar of n bytes, which numpy compares by a generic routine,
-    several times slower in a sort or a ``searchsorted``.  A state wider
-    than ``MAX_STATE_N`` is refused with ``OutOfRange`` first."""
-    check_state_size(np.shape(P)[1])
+    several times slower in a sort or a ``searchsorted``."""
     P = np.ascontiguousarray(P, dtype=np.int8)
     n = P.shape[1]
     if n > 8:

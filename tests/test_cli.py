@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridhfk import cli
 from gridhfk.cli import main
-from gridhfk.corpus import builtin_entries
+from gridhfk.corpus import builtin_entries, shift_grid
 from gridhfk.grid import format_grid, parse_grid
+from gridhfk.moves import STAB_TYPES
 
 
 @pytest.fixture
@@ -327,3 +331,63 @@ def test_bad_threads_are_refused_before_any_battery(monkeypatch, capsys, battery
         monkeypatch.setattr(cli, name, ran)
     code, out, err = run(capsys, "verify", "--battery", battery, "--threads", threads)
     assert (code, out, len(err.splitlines()), "workers" in err) == (2, "", 1, True)
+
+
+@st.composite
+def _grid_texts(draw):
+    """Grid file text with n = 1..8: valid knots, links and collisions from
+    two permutations, short or long rows, out-of-range and repeated entries,
+    duplicate keys and non-numeric text."""
+    n = draw(st.integers(1, 8))
+    entries = st.integers(-1, n + 2)
+    row = st.one_of(st.permutations(range(1, n + 1)),
+                    st.lists(entries, min_size=max(0, n - 1), max_size=n + 1))
+    lines = [f"n={n}", "O=" + ",".join(map(str, draw(row))), "X=" + ",".join(map(str, draw(row)))]
+    if draw(st.booleans()):
+        junk = draw(st.sampled_from(["n=2", "x=2,1", "O=1,a", "n=two", "X=", "junk", "# note", "="]))
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+    return "\n".join(lines) + "\n"
+
+
+_MOVE_LINES = st.one_of(
+    st.builds("{} {}".format, st.sampled_from(["cycR", "cycC", "commR", "commC"]), st.integers(-1, 9)),
+    st.builds("{} {} {} {}".format, st.sampled_from(["stab", "destab"]),
+              st.sampled_from(STAB_TYPES + ("X:XX",)), st.integers(-1, 9), st.integers(-1, 9)),
+    st.text(alphabet="cyRC12 :X#", max_size=10),
+)
+_ONE_GRID = [["info"], ["show"], ["homology"], ["invariant"], ["invariant", "--sign", "-"], ["alex"]]
+_SMALL_GRIDS = st.one_of(_grid_texts(), st.sampled_from([format_grid(e.grid) for e in builtin_entries()]))
+_SMALL = st.tuples(st.sampled_from(_ONE_GRID + [["connsum"], ["moves"]]), _SMALL_GRIDS, _SMALL_GRIDS,
+                   st.lists(_MOVE_LINES, max_size=6))
+# the shift grids around the int8 state limit, with the commands that reach
+# it and the move scripts; alex does not finish at 127, and info, show and
+# connsum, which build no state, take up to seconds on such a grid
+_LARGE_COMMANDS = [["homology"], ["invariant"], ["invariant", "--sign", "-"], ["alex"], ["moves"]]
+_LARGE = st.tuples(st.sampled_from(_LARGE_COMMANDS), st.sampled_from([127, 128, 255, 256, 600]),
+                   st.lists(_MOVE_LINES, max_size=3)).filter(lambda c: c[:2] != (["alex"], 127))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(st.one_of(_SMALL, _LARGE))
+@settings(max_examples=200, deadline=None)
+def test_cli_exits_with_a_code_and_no_traceback(fuzz_dir, case):
+    # every command on every input ends in exit 0, 2 or 3, never in an
+    # untyped exception
+    grid, other, script = fuzz_dir / "a.grid", fuzz_dir / "b.grid", fuzz_dir / "script.txt"
+    if isinstance(case[1], int):
+        command, n, moves = case
+        grid.write_text(format_grid(shift_grid(n, 1)))
+    else:
+        command, text, other_text, moves = case
+        grid.write_text(text)
+        other.write_text(other_text)
+    script.write_text("\n".join(moves) + "\n")
+    files = {"connsum": [grid, other], "moves": [grid, script]}.get(command[0], [grid])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(command + [str(f) for f in files])
+    assert code in (0, 2, 3) and "Traceback" not in err.getvalue(), (case, err.getvalue())

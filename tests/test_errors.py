@@ -19,7 +19,6 @@ from gridhfk import (
     BudgetExceeded,
     DivisionInexact,
     EulerMismatch,
-    GridDiagram,
     GridError,
     MultiComponent,
     NotPermutation,
@@ -38,7 +37,7 @@ from gridhfk import homology
 from gridhfk.cli import main
 from gridhfk.corpus import shift_grid
 from gridhfk.errors import ConfigError
-from gridhfk.floer import max_slice_budget, rectangles
+from gridhfk.floer import DEFAULT_MAX_SLICE, MAX_STATE_N, grading_tables, max_slice_budget
 from gridhfk.homology import enumerate_fibers
 from gridhfk.invariants import iterated_connect_sum
 
@@ -218,48 +217,62 @@ def test_fiber_table_over_budget_is_refused(monkeypatch, trefoil):
         generators_with_alexander(G, 0)
 
 
-def test_grading_tables_over_budget_are_refused(monkeypatch, tmp_path, capsys):
-    # the point and gap tables of a 600x600 grid would take about 21 x 600^3
-    # bytes, over 600 bytes per generator of the default budget: refused
-    # before they are built, by the verdict and by the CLI
-    monkeypatch.delenv("GRIDHFK_MAX_SLICE", raising=False)
-    n = 600
-    G = GridDiagram(n, tuple(range(1, n + 1)), tuple(i % n + 1 for i in range(1, n + 1)))
+def test_grading_tables_over_budget_are_refused(monkeypatch, tmp_path, capsys, trefoil):
+    # the point and gap tables take about 21 n^3 bytes, so only grids with
+    # n >= 488 would exceed the least table allowance of 5,000,000 bytes per
+    # line; the int8 limit refuses them first, before a table is built, and
+    # the tables of every grid it lets through need no budget
+    assert 21 * MAX_STATE_N**2 < DEFAULT_MAX_SLICE
+    G = shift_grid(600, 1)
     start = time.perf_counter()
-    with pytest.raises(BudgetExceeded, match="^grading tables of 4536000000 bytes for n=600"):
+    with pytest.raises(OutOfRange, match="^grid size 600 exceeds 127"):
         theta_status(G)
-    assert time.perf_counter() - start < 1.0
+    assert time.perf_counter() - start < 0.1
     grid = tmp_path / "shift600.grid"
     grid.write_text(format_grid(G))
-    start = time.perf_counter()
-    assert main(["invariant", str(grid)]) == 3
-    assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr().err.startswith("budget exceeded: grading tables of")
+    assert main(["invariant", str(grid)]) == 2
+    assert capsys.readouterr().err.startswith("error: grid size 600 exceeds 127")
+    # so building them reads no budget: Delta_K needs no other table
+    monkeypatch.setenv("GRIDHFK_MAX_SLICE", "abc")
+    grid.write_text(format_grid(trefoil))
+    assert main(["alex", str(grid)]) == 0
+    assert capsys.readouterr().out == "T^-1 - 1 + T\n"
 
 
 def test_grids_too_wide_for_int8_states_are_refused(tmp_path, capsys):
     # generator states are int8 rows, so n = 127 is the widest grid with a
-    # differential: the 127x127 shift grid gets its verdict, and from 128
-    # on every builder of a state array refuses with OutOfRange, so the
-    # CLI exits 2 with one line and no traceback
+    # differential: its width-0 gap entries, n, stay positive in int8, and
+    # the 127x127 shift grid gets its verdict
+    t = grading_tables(shift_grid(127, 1))
+    assert t.gap.min() >= 0 and t.gap_reflected.min() >= 0
     assert theta_status(shift_grid(127, 1)).tilde_verdict == "Survives"
-    for n in (128, 255):
+    # every grading, rectangle and state array of a grid reads its grading
+    # tables, which refuse n > 127 before any table is built: the library
+    # with OutOfRange, the CLI with exit 2 and one line
+    for n in (128, 255, 600):
         G = shift_grid(n, 1)
+        calls = [
+            lambda: bigrading(G, x_plus(G)),
+            lambda: differential(G, x_plus(G)),
+            lambda: class_vanishes(G, [x_plus(G)]),
+            lambda: theta_status(G),
+            lambda: tilde_homology(G),
+            lambda: alexander_polynomial(G),
+        ]
+        for call in calls:
+            start = time.perf_counter()
+            with pytest.raises(OutOfRange, match=f"^grid size {n} exceeds 127"):
+                call()
+            assert time.perf_counter() - start < 0.1
         grid = tmp_path / f"shift{n}.grid"
         grid.write_text(format_grid(G))
-        start = time.perf_counter()
-        assert main(["invariant", str(grid)]) == 2
-        assert time.perf_counter() - start < 2.0
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: grid size {n} exceeds 127") and "Traceback" not in err
-        # refused before the marker gap is read or a state array is built
-        match = f"^grid size {n} exceeds 127"
-        with pytest.raises(OutOfRange, match=match):
-            rectangles(G, [x_plus(G)], None)
-        with pytest.raises(OutOfRange, match=match):
-            differential(G, x_plus(G))
-        with pytest.raises(OutOfRange, match=match):
-            homology._encode([x_plus(G)])
+        for command in ("invariant", "alex", "homology"):
+            start = time.perf_counter()
+            assert main([command, str(grid)]) == 2
+            assert time.perf_counter() - start < 0.1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: grid size {n} exceeds 127, the largest with int8 states\n"
 
 
 def test_unknown_flavor_is_typed_error(trefoil):

@@ -10,7 +10,6 @@ from gridhfk import (
     format_grid,
     parse_grid,
     render_grid,
-    transpose_grid,
 )
 
 from conftest import random_knot
@@ -86,17 +85,6 @@ def test_render_has_one_marker_per_line(rng):
     assert len(lines) == 6
     for line in lines:
         assert line.count("X") == 1 and line.count("O") == 1
-
-
-def test_transpose_involution(rng):
-    G = random_knot(rng, 5)
-    assert transpose_grid(transpose_grid(G)) == G
-
-
-def test_transpose_preserves_components(rng):
-    for _ in range(10):
-        G = random_knot(rng, 6)
-        assert component_count(transpose_grid(G)) == component_count(G)
 
 
 def test_cell_lookup():

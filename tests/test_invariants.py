@@ -108,6 +108,26 @@ def test_zero_tilde_rank_forces_vanishes():
     assert (False, "Vanishes") in seen and (True, "Survives") in seen
 
 
+def test_stabilization_at_every_column():
+    # theta of a positive stabilization (X:SW, O:NE) vanishes, and a negative
+    # one (X:NE, O:SW) leaves it as it was (Ozsvath-Szabo-Thurston); checked
+    # at the X or O marker of every column, not only at column 1's X
+    grids = [e.grid for e in builtin_entries()]
+    grids += [random_knot(random.Random(1000 * n + s), n) for n in range(3, 7) for s in range(4)]
+    seen = set()
+    for G in grids:
+        verdict = theta_status(G).tilde_verdict
+        seen.add(verdict)
+        for stab_type in ("X:SW", "O:NE", "X:NE", "O:SW"):
+            sigma = G.sigma_X if stab_type[0] == "X" else G.sigma_O
+            expected = "Vanishes" if stab_type in ("X:SW", "O:NE") else verdict
+            for col in range(1, G.n + 1):
+                stabilized = apply_move(G, stabilize(stab_type, col, sigma[col - 1]))
+                assert theta_status(stabilized).tilde_verdict == expected, (G, stab_type, col)
+    # so the negative rule is checked on surviving classes too
+    assert seen == {"Survives", "Vanishes"}
+
+
 def test_status_json_shape(trefoil):
     data = json.loads(theta_status(trefoil).to_json())
     assert data == {
